@@ -1,117 +1,73 @@
 #include "flow/experiment.hpp"
 
 #include <cmath>
+#include <utility>
 
+#include "flow/pipeline.hpp"
 #include "rgraph/apply.hpp"
-#include "sim/observability.hpp"
 #include "support/check.hpp"
-#include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 
 namespace serelin {
 
-namespace {
-
-AlgoOutcome run_one(const RetimingGraph& g, const ObsGains& gains,
-                    const SolverOptions& options, const Retiming& initial,
-                    const CellLibrary& lib, const FlowConfig& config,
-                    std::int64_t original_ffs, double original_ser) {
-  AlgoOutcome out;
-  Stopwatch watch;
-  MinObsWinSolver solver(g, gains, options);
-  out.solver = solver.solve(initial);
-  out.seconds = watch.seconds();
-
-  if (config.verify) {
-    OracleOptions oracle_options;
-    oracle_options.timing = options.timing;
-    oracle_options.rmin = options.rmin;
-    oracle_options.check_elw =
-        options.enforce_elw && options.rmin > 0 && !out.solver.exited_early;
-    oracle_options.area_weight = config.area_weight;
-    out.verdict =
-        RetimingOracle(g, oracle_options).verify(out.solver, initial, gains);
-    out.verified = true;
-  }
-
-  out.ffs = g.shared_register_count(out.solver.r);
-  out.dff_change = original_ffs > 0
-                       ? static_cast<double>(out.ffs - original_ffs) /
-                             static_cast<double>(original_ffs)
-                       : 0.0;
-  if (config.reanalyze_ser) {
-    const Netlist retimed =
-        apply_retiming(g, out.solver.r, g.netlist().name() + "_rt");
-    SerOptions ser;
-    ser.timing = options.timing;
-    ser.sim = config.sim;
-    out.ser = analyze_ser(retimed, lib, ser).total;
-    out.dser = original_ser > 0 ? (out.ser - original_ser) / original_ser
-                                : 0.0;
-  }
-  return out;
-}
-
-}  // namespace
-
 ExperimentRow run_experiment(const Netlist& nl, const CellLibrary& lib,
                              const FlowConfig& config) {
   SERELIN_REQUIRE(nl.finalized(), "run_experiment needs a finalized netlist");
-  // An explicit trace request scopes a fresh recording session to this
-  // experiment; metrics are bracketed with a snapshot either way.
-  if (!config.trace_path.empty()) Tracer::start();
-  const MetricsSnapshot metrics_before = metrics_snapshot();
+  SERELIN_SPAN("flow/experiment");
+  PipelineOptions po;
+  po.init = config.init;
+  po.sim = config.sim;
+  po.area_weight = config.area_weight;
+  if (!std::isnan(config.rmin_override)) po.rmin = config.rmin_override;
+  StageRunner runner(nl, lib, po);
+  const RetimingGraph& g = runner.graph();
+
   ExperimentRow row;
-  // Inner scope: the root span must close *before* the exporters run, or
-  // it would miss its own trace file.
-  {
-    SERELIN_SPAN("flow/experiment");
-    row.name = nl.name();
+  row.name = nl.name();
+  row.vertices = g.gate_vertices().size();
+  row.edges = g.edge_count();
+  row.ffs = static_cast<std::int64_t>(nl.dff_count());
+  row.phi = runner.timing().period;
+  row.setup_hold_ok = runner.init().setup_hold_ok;
+  row.rmin = runner.rmin();
 
-    RetimingGraph g(nl, lib);
-    row.vertices = g.gate_vertices().size();
-    row.edges = g.edge_count();
-    row.ffs = static_cast<std::int64_t>(nl.dff_count());
+  SerOptions ser;
+  ser.timing = runner.timing();
+  ser.sim = config.sim;
+  Stopwatch analysis_watch;
+  runner.gains();
+  if (config.reanalyze_ser)
+    row.ser_original =
+        analyze_ser(nl, lib, ser, runner.observability().obs).total;
+  row.analysis_seconds = analysis_watch.seconds();
 
-    const InitResult init = initialize_retiming(g, config.init);
-    row.phi = init.timing.period;
-    row.setup_hold_ok = init.setup_hold_ok;
-    row.rmin = std::isnan(config.rmin_override) ? init.rmin
-                                                : config.rmin_override;
-
-    Stopwatch analysis_watch;
-    ObservabilityAnalyzer obs_engine(nl, config.sim);
-    const ObsResult obs = obs_engine.run();
-    const ObsGains gains =
-        compute_gains(g, obs.obs, config.sim.patterns, config.area_weight);
+  for (const PipelineStage stage :
+       {PipelineStage::kMinObsWin, PipelineStage::kMinObs}) {
+    if (stage == PipelineStage::kMinObs && !config.run_minobs) break;
+    AlgoOutcome& out =
+        stage == PipelineStage::kMinObsWin ? row.minobswin : row.minobs;
+    Stopwatch watch;
+    StageCandidate c = runner.solve(stage);
+    out.seconds = watch.seconds();
+    if (config.verify) {
+      out.verdict = runner.verify(c);
+      out.verified = true;
+    }
+    out.solver = std::move(c.result);
+    out.ffs = g.shared_register_count(out.solver.r);
+    out.dff_change = row.ffs > 0 ? static_cast<double>(out.ffs - row.ffs) /
+                                       static_cast<double>(row.ffs)
+                                 : 0.0;
     if (config.reanalyze_ser) {
-      SerOptions ser;
-      ser.timing = init.timing;
-      ser.sim = config.sim;
-      row.ser_original = analyze_ser(nl, lib, ser).total;
-    }
-    row.analysis_seconds = analysis_watch.seconds();
-
-    SolverOptions options;
-    options.timing = init.timing;
-    options.rmin = row.rmin;
-    options.enforce_elw = true;
-    row.minobswin = run_one(g, gains, options, init.r, lib, config, row.ffs,
-                            row.ser_original);
-    if (config.run_minobs) {
-      options.enforce_elw = false;
-      row.minobs = run_one(g, gains, options, init.r, lib, config, row.ffs,
-                           row.ser_original);
+      const Netlist retimed =
+          apply_retiming(g, out.solver.r, nl.name() + "_rt");
+      out.ser = analyze_ser(retimed, lib, ser).total;
+      out.dser = row.ser_original > 0
+                     ? (out.ser - row.ser_original) / row.ser_original
+                     : 0.0;
     }
   }
-  if (!config.trace_path.empty()) {
-    Tracer::stop();
-    Tracer::write_chrome_json(config.trace_path);
-  }
-  if (!config.metrics_path.empty())
-    write_metrics_json(metrics_snapshot() - metrics_before,
-                       config.metrics_path);
   return row;
 }
 

@@ -1,11 +1,14 @@
 // The end-to-end experiment flow of the paper's Section VI, packaged for
-// the Table-I harness, the ablation benches and the examples:
+// the Table-I harness, the ablation benches and the examples. It runs the
+// pipeline's stages (flow/pipeline.hpp) on one StageRunner:
 //
 //   1. build the retiming graph;
 //   2. Section-V initialization (Φ via setup/hold-aware min-period + ε
 //      relaxation, R_min from the initial short paths);
-//   3. n-time-frame signature observability -> gains b(v);
-//   4. run Efficient MinObs (baseline of [17]) and MinObsWin (Algorithm 1);
+//   3. n-time-frame signature observability -> gains b(v), simulated once:
+//      the same run gives the original circuit's Eq. (4) SER;
+//   4. run MinObsWin (Algorithm 1) and Efficient MinObs (baseline of [17])
+//      from that one initialization and one set of gains;
 //   5. materialize both retimed netlists and re-analyze their SER with the
 //      full Eq. (4) model ("the real size of the ELW ... with (3)").
 //
@@ -31,7 +34,7 @@ struct FlowConfig {
   InitOptions init;       ///< Section-V parameters (Ts, Th, ε)
   SimConfig sim;          ///< observability simulation fidelity
   double area_weight = 0.0;  ///< §VII extension knob (0 = paper objective)
-  /// Override for R_min; NaN = use the Section-V value.
+  /// Override for R_min; NaN (or negative) = use the Section-V value.
   double rmin_override = std::numeric_limits<double>::quiet_NaN();
   bool run_minobs = true;      ///< run the baseline too
   bool reanalyze_ser = true;   ///< full Eq. (4) SER on the results
@@ -39,11 +42,6 @@ struct FlowConfig {
   /// result; verdicts land in AlgoOutcome::verdict. A failed verdict does
   /// not abort the experiment — Table-I harnesses report it per row.
   bool verify = false;
-  /// When non-empty, the experiment runs under a fresh tracing session and
-  /// writes the Chrome trace_event JSON here (see docs/OBSERVABILITY.md).
-  std::string trace_path;
-  /// When non-empty, the flat counter-totals JSON of the run lands here.
-  std::string metrics_path;
 };
 
 /// Results of one algorithm on one circuit (one half of a Table-I row).

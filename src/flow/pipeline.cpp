@@ -1,5 +1,6 @@
 #include "flow/pipeline.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <filesystem>
@@ -7,13 +8,13 @@
 #include <sstream>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "core/min_area.hpp"
 #include "core/min_period.hpp"
 #include "core/objective.hpp"
 #include "flow/journal.hpp"
 #include "netlist/bench_io.hpp"
-#include "rgraph/retiming_graph.hpp"
-#include "sim/observability.hpp"
 #include "support/atomic_io.hpp"
 #include "support/check.hpp"
 #include "support/checkpoint.hpp"
@@ -33,6 +34,8 @@ const char* pipeline_stage_name(PipelineStage s) {
       return "minperiod";
     case PipelineStage::kIdentity:
       return "identity";
+    case PipelineStage::kMinArea:
+      return "minarea";
   }
   return "identity";
 }
@@ -51,19 +54,22 @@ namespace {
       return "pipeline/minperiod";
     case PipelineStage::kIdentity:
       return "pipeline/identity";
+    case PipelineStage::kMinArea:
+      return "pipeline/minarea";
   }
   return "pipeline/identity";
 }
 
-/// What one stage hands to the oracle: a result plus the timing context it
-/// claims to be valid under (the identity stage relaxes the period).
-struct StageCandidate {
-  SolverResult result;
-  TimingParams timing;
-  double rmin = 0.0;
-  bool check_elw = false;  ///< oracle should enforce the R_min invariant
-  bool has_gains = false;  ///< objective_gain is a real Eq. (5) claim
-};
+/// The stages a run starting at `start` tries, in order.
+std::vector<PipelineStage> stage_chain(PipelineStage start) {
+  if (start == PipelineStage::kMinArea)
+    return {start, PipelineStage::kMinPeriod, PipelineStage::kIdentity};
+  std::vector<PipelineStage> chain;
+  for (int s = static_cast<int>(start);
+       s <= static_cast<int>(PipelineStage::kIdentity); ++s)
+    chain.push_back(static_cast<PipelineStage>(s));
+  return chain;
+}
 
 void journal_attempt(RunJournal& journal, const StageAttempt& a,
                      const MetricsSnapshot& metrics) {
@@ -141,6 +147,115 @@ std::uint64_t pipeline_fingerprint(const Netlist& nl,
   return h;
 }
 
+StageRunner::StageRunner(const Netlist& nl, const CellLibrary& lib,
+                         const PipelineOptions& options)
+    : g_(nl, lib), sim_(options.sim), area_weight_(options.area_weight) {
+  InitOptions init_options = options.init;
+  init_options.deadline = options.deadline;
+  init_ = initialize_retiming(g_, init_options);
+  timing_ = init_.timing;
+  if (options.period > 0) timing_.period = options.period;
+  rmin_ = options.rmin >= 0 ? options.rmin : init_.rmin;
+}
+
+const ObsResult& StageRunner::observability(const Deadline& budget) {
+  if (!obs_) {
+    SimConfig sim = sim_;
+    sim.deadline = budget;
+    obs_ = ObservabilityAnalyzer(g_.netlist(), sim).run();
+  }
+  return *obs_;
+}
+
+const ObsGains& StageRunner::gains(const Deadline& budget) {
+  if (!gains_)
+    gains_ = compute_gains(g_, observability(budget).obs, sim_.patterns,
+                           area_weight_);
+  return *gains_;
+}
+
+StageCandidate StageRunner::solve(PipelineStage stage, const Deadline& budget,
+                                  const CheckpointSink& sink,
+                                  const std::string* solver_snapshot) {
+  StageCandidate c;
+  c.timing = timing_;
+  c.rmin = rmin_;
+  switch (stage) {
+    case PipelineStage::kMinObsWin:
+    case PipelineStage::kMinObs:
+    case PipelineStage::kMinArea: {
+      // Min-area is the same solver on unit observabilities
+      // (core/min_area.hpp), keeping hold/ELW control when R_min > 0.
+      const bool area = stage == PipelineStage::kMinArea;
+      std::optional<ObsGains> unit;
+      const ObsGains& stage_gains =
+          area ? unit.emplace(area_gains(g_)) : gains(budget);
+      SolverOptions so;
+      so.timing = timing_;
+      so.rmin = rmin_;
+      so.enforce_elw = area ? rmin_ > 0.0 : stage == PipelineStage::kMinObsWin;
+      so.deadline = budget;
+      so.checkpoint = sink;
+      MinObsWinSolver solver(g_, stage_gains, so);
+      c.result = solver_snapshot
+                     ? solver.resume(SolverProgress::decode(*solver_snapshot))
+                     : solver.solve(init_.r);
+      c.check_elw = stage == PipelineStage::kMinObsWin && rmin_ > 0 &&
+                    !c.result.exited_early;
+      c.has_gains = !area;
+      break;
+    }
+    case PipelineStage::kMinPeriod: {
+      if (timing_.period >= init_.timing.period) {
+        // The Section-V initialization already meets this (or a looser)
+        // period, and it is legal by construction.
+        c.result.r = init_.r;
+        c.result.stop_detail = "min-period: Section-V initialization";
+        break;
+      }
+      MinPeriodRetimer::Options mo;
+      mo.setup = timing_.setup;
+      mo.deadline = budget;
+      MinPeriodRetimer retimer(g_, mo);
+      const std::optional<Retiming> r =
+          retimer.retime_for_period(timing_.period, init_.r);
+      if (!r) {
+        // An interrupted FEAS probe reports infeasible; distinguish
+        // "ran out of budget" (retryable) from "truly infeasible".
+        budget.check("pipeline/minperiod");
+        throw Error("min-period stage: no retiming achieves phi = " +
+                    std::to_string(timing_.period));
+      }
+      c.result.r = *r;
+      c.result.stop_detail = "min-period: FEAS at the target period";
+      break;
+    }
+    case PipelineStage::kIdentity: {
+      // The unretimed circuit at its own critical path: legal by
+      // definition, so this stage is the chain's safety net. The period
+      // is relaxed to whatever the circuit actually needs.
+      c.result.r = g_.zero_retiming();
+      c.timing.period =
+          std::max(timing_.period,
+                   critical_path(g_.netlist(), g_.library()) + timing_.setup);
+      c.result.stop_detail = "identity: unretimed circuit, phi relaxed";
+      break;
+    }
+  }
+  return c;
+}
+
+Verdict StageRunner::verify(const StageCandidate& c) const {
+  OracleOptions oracle_options;
+  oracle_options.timing = c.timing;
+  oracle_options.rmin = c.rmin;
+  oracle_options.check_elw = c.check_elw;
+  oracle_options.area_weight = area_weight_;
+  const RetimingOracle oracle(g_, oracle_options);
+  return c.has_gains ? oracle.verify(c.result, init_.r, *gains_)
+                     : oracle.verify(c.result.r);
+}
+
 PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
                             const PipelineOptions& options) {
   SERELIN_SPAN("pipeline/run");
@@ -150,13 +265,14 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
       !options.checkpoint_path.empty() || !options.resume_path.empty();
   const std::uint64_t fingerprint =
       wants_checkpoint ? pipeline_fingerprint(nl, options) : 0;
+  const std::vector<PipelineStage> chain = stage_chain(options.start);
 
   // Resume: load the snapshot (if one was ever written — a run killed
   // before its first snapshot legitimately left none) and reject anything
   // that does not belong to this exact circuit + these options.
   CheckpointImage snapshot;
   bool resuming = false;
-  int resume_stage = static_cast<int>(options.start);
+  std::size_t resume_pos = 0;
   int resume_attempt = 0;
   if (!options.resume_path.empty() &&
       load_checkpoint(options.resume_path, snapshot)) {
@@ -169,10 +285,13 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
     const std::string* ctx = snapshot.find("pipeline");
     SERELIN_REQUIRE(ctx != nullptr,
                     "resume checkpoint lacks its pipeline section");
+    int resume_stage = 0;
     std::tie(resume_stage, resume_attempt) = decode_pipeline_section(*ctx);
-    SERELIN_REQUIRE(resume_stage >= static_cast<int>(options.start) &&
-                        resume_stage <=
-                            static_cast<int>(PipelineStage::kIdentity),
+    resume_pos = static_cast<std::size_t>(
+        std::find(chain.begin(), chain.end(),
+                  static_cast<PipelineStage>(resume_stage)) -
+        chain.begin());
+    SERELIN_REQUIRE(resume_pos < chain.size(),
                     "resume checkpoint names an impossible stage");
     resuming = true;
   }
@@ -218,8 +337,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
     JsonObject o;
     o.set("event", "resume")
         .set("had_snapshot", resuming)
-        .set("stage",
-             pipeline_stage_name(static_cast<PipelineStage>(resume_stage)))
+        .set("stage", pipeline_stage_name(chain[resume_pos]))
         .set("attempt", resume_attempt);
     if (!journal_last_stage.empty())
       o.set("journal_stage", journal_last_stage);
@@ -231,114 +349,29 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
     sink = CheckpointSink(options.checkpoint_path, "pipeline", fingerprint,
                           options.checkpoint_every);
 
-  RetimingGraph g(nl, lib);
-  InitOptions init_options = options.init;
-  init_options.deadline = options.deadline;
   Stopwatch init_watch;
-  out.init = initialize_retiming(g, init_options);
-  TimingParams timing = out.init.timing;
-  if (options.period > 0) timing.period = options.period;
-  const double rmin = options.rmin >= 0 ? options.rmin : out.init.rmin;
+  StageRunner runner(nl, lib, options);
+  out.init = runner.init();
 
   {
     JsonObject o;
     o.set("event", "setup")
-        .set("phi", timing.period)
+        .set("phi", runner.timing().period)
         .set("phi_init", out.init.timing.period)
-        .set("rmin", rmin)
+        .set("rmin", runner.rmin())
         .set("setup_hold_ok", out.init.setup_hold_ok)
         .set("seconds", init_watch.seconds());
     journal.write(o);
   }
 
-  // Gains are computed once, lazily, under the slice of whichever stage
-  // first needs them; a later stage reuses the cached value for free.
-  std::optional<ObsGains> gains;
-  auto ensure_gains = [&](const Deadline& slice) -> const ObsGains& {
-    if (!gains) {
-      SimConfig sim = options.sim;
-      sim.deadline = slice;
-      ObservabilityAnalyzer engine(nl, sim);
-      const ObsResult obs = engine.run();
-      gains = compute_gains(g, obs.obs, sim.patterns, options.area_weight);
-    }
-    return *gains;
-  };
-
-  auto run_stage = [&](PipelineStage stage, const Deadline& slice,
-                       const CheckpointSink& stage_sink,
-                       const std::string* solver_snapshot) -> StageCandidate {
-    StageCandidate c;
-    c.timing = timing;
-    c.rmin = rmin;
-    switch (stage) {
-      case PipelineStage::kMinObsWin:
-      case PipelineStage::kMinObs: {
-        const ObsGains& stage_gains = ensure_gains(slice);
-        SolverOptions so;
-        so.timing = timing;
-        so.rmin = rmin;
-        so.enforce_elw = stage == PipelineStage::kMinObsWin;
-        so.deadline = slice;
-        so.checkpoint = stage_sink;
-        MinObsWinSolver solver(g, stage_gains, so);
-        c.result = solver_snapshot
-                       ? solver.resume(SolverProgress::decode(*solver_snapshot))
-                       : solver.solve(out.init.r);
-        c.check_elw = so.enforce_elw && rmin > 0 && !c.result.exited_early;
-        c.has_gains = true;
-        break;
-      }
-      case PipelineStage::kMinPeriod: {
-        if (options.period <= 0 ||
-            timing.period >= out.init.timing.period) {
-          // The Section-V initialization already meets this (or a looser)
-          // period, and it is legal by construction.
-          c.result.r = out.init.r;
-          c.result.stop_detail = "min-period: Section-V initialization";
-        } else {
-          MinPeriodRetimer::Options mo;
-          mo.setup = timing.setup;
-          mo.deadline = slice;
-          MinPeriodRetimer retimer(g, mo);
-          const std::optional<Retiming> r =
-              retimer.retime_for_period(timing.period, out.init.r);
-          if (!r) {
-            // An interrupted FEAS probe reports infeasible; distinguish
-            // "ran out of budget" (retryable) from "truly infeasible".
-            slice.check("pipeline/minperiod");
-            throw Error("min-period stage: no retiming achieves phi = " +
-                        std::to_string(timing.period));
-          }
-          c.result.r = *r;
-          c.result.stop_detail = "min-period: FEAS at the target period";
-        }
-        break;
-      }
-      case PipelineStage::kIdentity: {
-        // The unretimed circuit at its own critical path: legal by
-        // definition, so this stage is the chain's safety net. The period
-        // is relaxed to whatever the circuit actually needs.
-        c.result.r = g.zero_retiming();
-        c.timing.period =
-            std::max(timing.period, critical_path(nl, lib) + timing.setup);
-        c.result.stop_detail = "identity: unretimed circuit, phi relaxed";
-        break;
-      }
-    }
-    return c;
-  };
-
-  constexpr int kLast = static_cast<int>(PipelineStage::kIdentity);
   // On resume the chain re-enters at the snapshot's stage/attempt; the
   // first attempt of that stage continues from the solver's own progress
   // section when the snapshot carries one (a stage-boundary snapshot does
   // not, and the stage simply restarts — same result either way).
   bool consume_snapshot = resuming;
-  for (int si = resuming ? resume_stage : static_cast<int>(options.start);
-       si <= kLast; ++si) {
-    const PipelineStage stage = static_cast<PipelineStage>(si);
-    const int stages_left = kLast - si + 1;
+  for (std::size_t pos = resume_pos; pos < chain.size(); ++pos) {
+    const PipelineStage stage = chain[pos];
+    const auto stages_left = static_cast<double>(chain.size() - pos);
     for (int attempt = consume_snapshot ? resume_attempt : 0; attempt < 2;
          ++attempt) {
       const double auto_budget =
@@ -356,8 +389,9 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
       // even if the solver below never offers.
       CheckpointSink stage_sink;
       if (sink.enabled()) {
-        stage_sink =
-            sink.with_section("pipeline", encode_pipeline_section(si, attempt));
+        stage_sink = sink.with_section(
+            "pipeline",
+            encode_pipeline_section(static_cast<int>(stage), attempt));
         stage_sink.force([](CheckpointImage&) {});
       }
       const std::string* solver_snapshot = nullptr;
@@ -376,7 +410,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
       Stopwatch watch;
       try {
         SERELIN_SPAN(stage_span_name(stage));
-        candidate = run_stage(stage, slice, stage_sink, solver_snapshot);
+        candidate = runner.solve(stage, slice, stage_sink, solver_snapshot);
       } catch (const CancelledError& e) {
         rec.errored = true;
         rec.error = e.what();
@@ -386,22 +420,10 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
         rec.error = e.what();
       }
       rec.seconds = watch.seconds();
-      if (candidate) rec.stop_reason = candidate->result.stop_reason;
-
       if (candidate) {
+        rec.stop_reason = candidate->result.stop_reason;
         if (options.verify) {
-          OracleOptions oracle_options;
-          oracle_options.timing = candidate->timing;
-          oracle_options.rmin = candidate->rmin;
-          oracle_options.check_elw = candidate->check_elw;
-          oracle_options.area_weight = options.area_weight;
-          // Verification runs unbudgeted on purpose: degradation after an
-          // expired overall deadline still ends in a *verified* result.
-          const RetimingOracle oracle(g, oracle_options);
-          rec.verdict = candidate->has_gains
-                            ? oracle.verify(candidate->result, out.init.r,
-                                            *gains)
-                            : oracle.verify(candidate->result.r);
+          rec.verdict = runner.verify(*candidate);
           rec.verified = true;
           rec.accepted = rec.verdict.ok();
         } else {

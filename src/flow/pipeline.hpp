@@ -9,14 +9,21 @@
 //   3. minperiod  — classical min-period retiming at the target Φ,
 //   4. identity   — the unretimed circuit at its own critical path,
 //
-// each stage under its own slice of the overall deadline. A stage's result
-// is accepted only when the independent RetimingOracle (src/check) signs
-// off on it; a stage that errors out, times out, or is rejected triggers
-// one relaxed-budget retry when the failure was budget-related, then the
-// chain falls through to the next stage. The identity stage cannot fail:
-// a zero retiming at the circuit's own critical path is always legal, so
-// the pipeline's contract is "a verified result or a recorded reason per
-// stage", never an exception for budget exhaustion.
+// entered at the requested start stage (a minarea start runs minarea →
+// minperiod → identity), each stage under its own slice of the overall
+// deadline. A stage's result is accepted only when the independent
+// RetimingOracle (src/check) signs off on it; a stage that errors out,
+// times out, or is rejected triggers one relaxed-budget retry when the
+// failure was budget-related, then the chain falls through to the next
+// stage. The identity stage cannot fail: a zero retiming at the circuit's
+// own critical path is always legal, so the pipeline's contract is "a
+// verified result or a recorded reason per stage", never an exception for
+// budget exhaustion.
+//
+// The per-circuit work — graph, Section-V initialization, observability
+// and gains, one stage's solve, the oracle call — lives in StageRunner,
+// which run_experiment (flow/experiment.hpp) drives too; run_pipeline adds
+// the journal, checkpoint/resume and the fallback loop on top.
 //
 // Every attempt — budget, wall clock, stop reason, verdict — is recorded
 // in PipelineResult::attempts and, when a journal path is given, appended
@@ -27,6 +34,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,7 +43,9 @@
 #include "core/solver.hpp"
 #include "netlist/cell_library.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/sim_config.hpp"
+#include "rgraph/retiming_graph.hpp"
+#include "sim/observability.hpp"
+#include "support/checkpoint.hpp"
 #include "support/deadline.hpp"
 #include "timing/params.hpp"
 
@@ -46,9 +56,15 @@ enum class PipelineStage : std::uint8_t {
   kMinObs,     ///< Efficient MinObs baseline (no ELW constraints)
   kMinPeriod,  ///< plain min-period retiming at the target Φ
   kIdentity,   ///< the unretimed circuit (always succeeds)
+  /// Min-area retiming (register positions under Φ, plus R_min when it is
+  /// positive); start stage only, its chain is minarea → minperiod →
+  /// identity. Claims no Eq. (5) objective, so the oracle checks
+  /// invariants 1–3.
+  kMinArea,
 };
 
-/// "minobswin" / "minobs" / "minperiod" / "identity" (stable; journaled).
+/// "minobswin" / "minobs" / "minperiod" / "identity" / "minarea" (stable;
+/// journaled).
 const char* pipeline_stage_name(PipelineStage s);
 
 struct PipelineOptions {
@@ -81,7 +97,8 @@ struct PipelineOptions {
   /// on the solving thread and must not throw.
   std::function<void(const std::string& record)> journal_observer;
   /// First stage to try (earlier stages are skipped, e.g. kMinObs when
-  /// the caller never wanted ELW constraints).
+  /// the caller never wanted ELW constraints; kMinArea runs its own
+  /// chain).
   PipelineStage start = PipelineStage::kMinObsWin;
   /// Durable checkpoint file (docs/ROBUSTNESS.md §11); empty = no
   /// checkpointing. The file always holds a complete snapshot: the stage /
@@ -128,6 +145,66 @@ struct PipelineResult {
   std::vector<StageAttempt> attempts;  ///< every attempt, in order
   std::string journal_path;  ///< empty when journaling was off
   bool journal_healthy = true;  ///< false: a journal write failed mid-run
+};
+
+/// What one stage produced: a result plus the timing context it claims to
+/// be valid under (the identity stage relaxes the period).
+struct StageCandidate {
+  SolverResult result;
+  TimingParams timing;
+  double rmin = 0.0;
+  bool check_elw = false;  ///< the oracle enforces the R_min invariant
+  bool has_gains = false;  ///< objective_gain is a real Eq. (5) claim
+};
+
+/// The per-circuit half of the pipeline: one retiming graph, one Section-V
+/// initialization with the `period`/`rmin` overrides, one observability
+/// run of the unretimed netlist and its gains (both computed on first use
+/// and then reused), any stage's solve, and the oracle's verdict on it.
+/// Reads `init`, `sim`, `period`, `rmin`, `area_weight` and `deadline`
+/// (for the initialization) from the options; the rest is run_pipeline's.
+class StageRunner {
+ public:
+  StageRunner(const Netlist& nl, const CellLibrary& lib,
+              const PipelineOptions& options);
+
+  const RetimingGraph& graph() const { return g_; }
+  const InitResult& init() const { return init_; }
+  /// The Section-V timing with the period override applied.
+  const TimingParams& timing() const { return timing_; }
+  /// The R_min in force: the override, else the Section-V value.
+  double rmin() const { return rmin_; }
+
+  /// Observability of the unretimed netlist under the options' SimConfig,
+  /// simulated by the first call under `budget` (all-or-nothing: expiry
+  /// throws CancelledError and a later call simulates afresh).
+  const ObsResult& observability(const Deadline& budget = {});
+  /// The Eq. (5) gains of that observability, computed once likewise.
+  const ObsGains& gains(const Deadline& budget = {});
+
+  /// Runs one stage under `budget`, offering solver snapshots to `sink`;
+  /// a non-null `solver_snapshot` resumes the stage's solver from it.
+  /// Throws CancelledError when an all-or-nothing kernel runs out of
+  /// budget and Error when the min-period stage finds the target Φ
+  /// infeasible.
+  StageCandidate solve(PipelineStage stage, const Deadline& budget = {},
+                       const CheckpointSink& sink = {},
+                       const std::string* solver_snapshot = nullptr);
+
+  /// The independent oracle's verdict on `c`. Unbudgeted on purpose:
+  /// degradation after an expired deadline still ends in a verified
+  /// result.
+  Verdict verify(const StageCandidate& c) const;
+
+ private:
+  RetimingGraph g_;
+  SimConfig sim_;
+  double area_weight_ = 0.0;
+  InitResult init_;
+  TimingParams timing_;
+  double rmin_ = 0.0;
+  std::optional<ObsResult> obs_;
+  std::optional<ObsGains> gains_;
 };
 
 /// Runs the fallback chain on a finalized netlist. Throws only on caller

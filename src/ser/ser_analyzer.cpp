@@ -1,6 +1,7 @@
 #include "ser/ser_analyzer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -9,15 +10,20 @@
 
 namespace serelin {
 
-SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
-                      const SerOptions& options) {
-  SERELIN_SPAN("ser/analyze");
+namespace {
+
+void require_period(const SerOptions& options) {
   SERELIN_REQUIRE(options.timing.period > 0.0,
                   "SER analysis needs a positive clock period");
-  SerReport report;
+}
 
-  ObservabilityAnalyzer obs_engine(nl, options.sim);
-  report.obs = obs_engine.run(options.obs_mode).obs;
+/// Eq. (4) over a per-node observability.
+SerReport eq4(const Netlist& nl, const CellLibrary& lib,
+              const SerOptions& options, std::vector<double> obs) {
+  SERELIN_REQUIRE(obs.size() == nl.node_count(),
+                  "SER analysis needs one observability per node");
+  SerReport report;
+  report.obs = std::move(obs);
   report.elw = compute_elw(nl, lib, options.timing);
   report.contribution.assign(nl.node_count(), 0.0);
 
@@ -48,6 +54,23 @@ SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
   }
   report.total = report.combinational + report.sequential;
   return report;
+}
+
+}  // namespace
+
+SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
+                      const SerOptions& options) {
+  SERELIN_SPAN("ser/analyze");
+  require_period(options);
+  return eq4(nl, lib, options,
+             ObservabilityAnalyzer(nl, options.sim).run(options.obs_mode).obs);
+}
+
+SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
+                      const SerOptions& options, std::vector<double> obs) {
+  SERELIN_SPAN("ser/analyze");
+  require_period(options);
+  return eq4(nl, lib, options, std::move(obs));
 }
 
 }  // namespace serelin

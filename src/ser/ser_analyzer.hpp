@@ -47,4 +47,13 @@ struct SerReport {
 SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
                       const SerOptions& options);
 
+/// Same, from an observability already simulated for `nl` (NodeId-indexed,
+/// e.g. the run the retiming gains came from) instead of simulating again;
+/// `options.sim` and `options.obs_mode` are unused. Eq. (4) needs only
+/// per-node observability, error rates and windows, so feeding the
+/// ObsResult of ObservabilityAnalyzer(nl, options.sim).run(options.obs_mode)
+/// gives the bit-identical report.
+SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
+                      const SerOptions& options, std::vector<double> obs);
+
 }  // namespace serelin

@@ -97,6 +97,10 @@ struct BadInput {
   const char* text;
 };
 
+// CTest names each case after its printed parameter; the default byte dump
+// of the two pointers changes with every load address, so print the label.
+void PrintTo(const BadInput& c, std::ostream* os) { *os << c.label; }
+
 class BenchIOErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(BenchIOErrors, Throws) {

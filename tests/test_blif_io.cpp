@@ -86,6 +86,10 @@ struct BadBlif {
   const char* text;
 };
 
+// CTest names each case after its printed parameter; the default byte dump
+// of the two pointers changes with every load address, so print the label.
+void PrintTo(const BadBlif& c, std::ostream* os) { *os << c.label; }
+
 class BlifErrors : public ::testing::TestWithParam<BadBlif> {};
 
 TEST_P(BlifErrors, Throws) {

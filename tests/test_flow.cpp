@@ -134,6 +134,19 @@ TEST(Flow, VerifyRunsTheOracleOnBothAlgorithms) {
   EXPECT_FALSE(run_experiment(nl, lib, off).minobswin.verified);
 }
 
+TEST(Flow, OriginalSerReusesTheGainsObservability) {
+  // The row's original-circuit SER comes from the observability run the
+  // gains used; it must equal a fresh stand-alone analysis bit for bit.
+  const Netlist nl = flow_circuit();
+  CellLibrary lib;
+  const FlowConfig config = fast_config();
+  const ExperimentRow row = run_experiment(nl, lib, config);
+  const InitResult init =
+      initialize_retiming(RetimingGraph(nl, lib), config.init);
+  EXPECT_EQ(row.ser_original,
+            analyze_ser(nl, lib, {init.timing, config.sim}).total);
+}
+
 TEST(Flow, DeterministicAcrossRuns) {
   const Netlist nl = flow_circuit();
   CellLibrary lib;

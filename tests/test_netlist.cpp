@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/cell.hpp"
@@ -41,6 +43,12 @@ struct EvalCase {
   std::vector<std::uint64_t> in;
   std::uint64_t expect;
 };
+
+// CTest names each case after its printed parameter; the default byte dump
+// holds heap pointers that change from run to run, so print "AND_2in".
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << cell_type_name(c.type) << '_' << c.in.size() << "in";
+}
 
 class CellEval : public ::testing::TestWithParam<EvalCase> {};
 

@@ -22,6 +22,7 @@
 #include <span>
 
 #include "core/wd_query.hpp"
+#include "flow/journal.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
 #include "rgraph/retiming_graph.hpp"
@@ -168,42 +169,38 @@ std::uint64_t fingerprint_bytes(const std::vector<T>& data) {
 
 void write_json(const char* path, const RandomCircuitSpec& spec,
                 const std::vector<KernelReport>& kernels) {
-  std::string out = "{\n";
-  char buf[256];
-  auto line = [&](const char* fmt, auto... args) {
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    out += buf;
-  };
-  line(
-      "  \"circuit\": {\"gates\": %d, \"dffs\": %d, \"inputs\": %d, "
-      "\"outputs\": %d, \"seed\": %llu},\n",
-      spec.gates, spec.dffs, spec.inputs, spec.outputs,
-      static_cast<unsigned long long>(spec.seed));
-  line("  \"hardware_threads\": %d,\n", hardware_threads());
-  out += "  \"kernels\": [\n";
-  for (std::size_t k = 0; k < kernels.size(); ++k) {
-    const KernelReport& rep = kernels[k];
-    line("    {\"kernel\": \"%s\", \"config\": \"%s\",\n",
-         rep.name.c_str(), rep.config.c_str());
-    line("     \"bit_identical_across_threads\": %s,\n",
-         rep.identical ? "true" : "false");
-    line("     \"counters_identical_across_threads\": %s,\n",
-         rep.counters_identical ? "true" : "false");
-    line("     \"counters\": %s,\n", metrics_json(rep.counters).c_str());
-    out += "     \"results\": [";
-    for (std::size_t i = 0; i < rep.cells.size(); ++i) {
-      const Cell& c = rep.cells[i];
-      line(
-          "%s\n       {\"threads\": %d, \"wall_ms\": %.2f, "
-          "\"speedup\": %.3f}",
-          i ? "," : "", c.threads, c.wall_ms, c.speedup);
+  JsonObject circuit;
+  circuit.set("gates", spec.gates)
+      .set("dffs", spec.dffs)
+      .set("inputs", spec.inputs)
+      .set("outputs", spec.outputs)
+      .set("seed", static_cast<std::int64_t>(spec.seed));
+  std::string kernel_list;
+  for (const KernelReport& rep : kernels) {
+    std::string results;
+    for (const Cell& c : rep.cells) {
+      JsonObject cell;
+      cell.set("threads", c.threads)
+          .set("wall_ms", c.wall_ms)
+          .set("speedup", c.speedup);
+      results += (results.empty() ? "" : ",") + cell.str();
     }
-    line("\n     ]}%s\n", k + 1 < kernels.size() ? "," : "");
+    JsonObject kernel;
+    kernel.set("kernel", rep.name)
+        .set("config", rep.config)
+        .set("bit_identical_across_threads", rep.identical)
+        .set("counters_identical_across_threads", rep.counters_identical)
+        .set_json("counters", metrics_json(rep.counters))
+        .set_json("results", "[" + results + "]");
+    kernel_list += (kernel_list.empty() ? "" : ",") + kernel.str();
   }
-  out += "  ]\n}\n";
+  JsonObject report;
+  report.set_json("circuit", circuit.str())
+      .set("hardware_threads", hardware_threads())
+      .set_json("kernels", "[" + kernel_list + "]");
   // Atomic replace: a crash or kill mid-report leaves the previous report
   // (or nothing), never half a JSON document for bench_gate.py to choke on.
-  atomic_write_file(path, out);
+  atomic_write_file(path, report.str() + "\n");
 }
 
 

@@ -8,6 +8,11 @@
 //   serelin_cli convert  <in> <out>
 //   serelin_cli generate (<gates> <dffs> | --suite <name>) <out>
 //
+// `retime` runs the solver pipeline (flow/pipeline.hpp) from the
+// --algorithm stage: minobswin -> minobs -> minperiod -> identity, entered
+// at minobs for `minobs`, and minarea -> minperiod -> identity for
+// `minarea`.
+//
 // Circuit formats are chosen by extension: .bench (ISCAS89) or .blif.
 // Common options:
 //   --period <phi>     clock period (default: Section-V choice)
@@ -18,23 +23,19 @@
 //   --seed <s>         generator seed
 //   --threads <N>      worker threads for parallel kernels
 //                      (default: hardware concurrency; 1 = serial)
-//   --deadline <sec>   wall-clock budget; on expiry `retime` writes the
-//                      best feasible retiming found and exits 75
+//   --deadline <sec>   wall-clock budget; `retime` splits it across the
+//                      pipeline's stages and exits 75 when the result is
+//                      partial or came from a later stage
 //   --recover          parse inputs in recovering mode: defects become
 //                      diagnostics on stderr instead of hard errors
-//   --verify           re-check the result with the independent
-//                      RetimingOracle (src/check); on failure nothing is
-//                      written and the exit code is 76
-//   --fallback         run the graceful-degradation pipeline
-//                      minobswin -> minobs -> minperiod -> identity
-//                      (every stage oracle-verified); implies --verify
+//   --verify           `retime` accepts a stage's result only when the
+//                      independent RetimingOracle (src/check) verifies it;
+//                      a rejected stage falls through the chain
 //   --journal <path>   JSONL record of every pipeline attempt
-//                      (requires --fallback)
 //   --checkpoint <path> durable crash-safe progress snapshots
-//                      (requires --fallback; docs/ROBUSTNESS.md §11)
+//                      (docs/ROBUSTNESS.md §11)
 //   --resume <path>    continue a killed run from its checkpoint; reaches
 //                      the bit-identical result of an uninterrupted run
-//                      (requires --fallback)
 //   --trace <path>     Chrome trace_event JSON of the whole command
 //                      (load in chrome://tracing or ui.perfetto.dev)
 //   --metrics <path>   flat JSON of the named solver/kernel counters
@@ -48,19 +49,15 @@
 // Exit codes (sysexits-style, see docs/ROBUSTNESS.md):
 //   0 success, 64 usage, 65 malformed input data, 70 internal error,
 //   75 deadline expired / degraded (partial result written),
-//   76 result verification failed (nothing written),
+//   76 no pipeline stage produced a verified result (nothing written),
 //   78 interrupted by SIGINT/SIGTERM (clean partial result written)
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "check/oracle.hpp"
-#include "core/min_area.hpp"
-#include "flow/experiment.hpp"
 #include "flow/pipeline.hpp"
 #include "gen/paper_suite.hpp"
 #include "gen/random_circuit.hpp"
@@ -94,8 +91,7 @@ using namespace serelin;
                "minarea]\n"
                "           [--period P] [--rmin R] [--patterns K] "
                "[--frames n] [--area-weight w]\n"
-               "           [--deadline sec] [--verify] [--fallback] "
-               "[--journal path]\n"
+               "           [--deadline sec] [--verify] [--journal path]\n"
                "           [--checkpoint path] [--resume path]\n"
                "  lint     <circuit>\n"
                "  convert  <in> <out>\n"
@@ -147,11 +143,10 @@ struct Options {
   std::uint64_t seed = 1;
   double deadline_s = 0.0;  // 0 = unbounded
   Deadline deadline;        // derived from deadline_s at parse time
-  bool verify = false;      // oracle-check the result before writing it
-  bool fallback = false;    // graceful-degradation pipeline
-  std::string journal;      // JSONL attempt journal (--fallback only)
-  std::string checkpoint;   // durable progress snapshots (--fallback only)
-  std::string resume;       // checkpoint to continue from (--fallback only)
+  bool verify = false;      // oracle-check every stage result
+  std::string journal;      // JSONL attempt journal
+  std::string checkpoint;   // durable progress snapshots
+  std::string resume;       // checkpoint to continue from
   std::string trace;        // Chrome trace_event JSON output path
   std::string metrics;      // counter-totals JSON output path
   std::string algorithm = "minobswin";
@@ -204,7 +199,6 @@ Options parse(int argc, char** argv, int first) {
     else if (a == "--deadline") opt.deadline_s = opt_double(a, value());
     else if (a == "--recover") g_recover = true;
     else if (a == "--verify") opt.verify = true;
-    else if (a == "--fallback") opt.fallback = true;
     else if (a == "--journal") opt.journal = value();
     else if (a == "--checkpoint") opt.checkpoint = value();
     else if (a == "--resume") opt.resume = value();
@@ -264,28 +258,29 @@ int cmd_analyze(const Options& opt) {
   return 0;
 }
 
-// Graceful-degradation path of `retime`: the solver-pipeline fallback
-// chain, every stage verified by the independent oracle. The retiming
-// graph construction is deterministic, so `g` (built by the caller from
-// the same netlist) indexes the pipeline's result correctly.
-int cmd_retime_fallback(const Options& opt, const Netlist& nl,
-                        const RetimingGraph& g) {
+int cmd_retime(const Options& opt) {
+  if (opt.positional.size() != 2) usage("retime needs <in> <out>");
   PipelineOptions po;
+  if (opt.algorithm == "minobswin") po.start = PipelineStage::kMinObsWin;
+  else if (opt.algorithm == "minobs") po.start = PipelineStage::kMinObs;
+  else if (opt.algorithm == "minarea") po.start = PipelineStage::kMinArea;
+  else usage("unknown --algorithm");
   po.sim.patterns = opt.patterns;
   po.sim.frames = opt.frames;
   po.period = opt.period;
   po.rmin = opt.rmin;
   po.area_weight = opt.area_weight;
   po.deadline = opt.deadline;
+  po.verify = opt.verify;
   po.journal_path = opt.journal;
   // A resumed run keeps checkpointing: default the snapshot destination to
   // the file it is resuming from, so repeated kills keep converging.
   po.checkpoint_path = !opt.checkpoint.empty() ? opt.checkpoint : opt.resume;
   po.resume_path = opt.resume;
-  po.start = opt.algorithm == "minobs" ? PipelineStage::kMinObs
-                                       : PipelineStage::kMinObsWin;
-  const PipelineResult res = run_pipeline(nl, g.library(), po);
-  for (const StageAttempt& a : res.attempts)
+  const Netlist nl = read_any(opt.positional[0]);
+  CellLibrary lib;
+  const PipelineResult res = run_pipeline(nl, lib, po);
+  for (const StageAttempt& a : res.attempts) {
     std::fprintf(stderr, "pipeline: %s attempt %d: %s%s%s\n",
                  pipeline_stage_name(a.stage), a.attempt,
                  a.errored ? a.error.c_str()
@@ -293,107 +288,37 @@ int cmd_retime_fallback(const Options& opt, const Netlist& nl,
                                          : "completed (unverified)"),
                  a.stop_reason != StopReason::kNone ? " [stopped early]" : "",
                  a.accepted ? " [accepted]" : "");
+    if (a.verified && !a.verdict.ok())
+      for (const Diagnostic& d : a.verdict.diagnostics.diagnostics())
+        std::fprintf(stderr, "%s\n", d.render().c_str());
+  }
   if (!res.journal_healthy)
     std::fprintf(stderr, "warning: journal writes failed mid-run (%s)\n",
                  res.journal_path.c_str());
   if (!res.ok) {
     std::fprintf(stderr,
-                 "pipeline: no stage produced a verified result\n");
+                 "pipeline: no stage produced a verified result; nothing "
+                 "written\n");
     return 76;
   }
+  // Graph construction is deterministic, so this graph indexes the
+  // pipeline's retiming.
+  const RetimingGraph g(nl, lib);
   const Netlist out = apply_retiming(g, res.solver.r, nl.name() + "_rt");
   write_any(opt.positional[1], out);
-  std::printf("pipeline: accepted stage %s at Phi = %.4g, R_min = %.4g\n",
-              pipeline_stage_name(res.stage), res.timing.period, res.rmin);
+  std::printf("%s: objective gain %lld, %d commits at Phi = %.4g, "
+              "R_min = %.4g%s\n",
+              pipeline_stage_name(res.stage),
+              static_cast<long long>(res.solver.objective_gain),
+              res.solver.commits, res.timing.period, res.rmin,
+              res.solver.exited_early ? " [early exit]" : "");
+  if (opt.verify) std::printf("oracle: %s\n", res.verdict.summary().c_str());
   std::printf("flip-flops %zu -> %zu; wrote %s\n", nl.dff_count(),
               out.dff_count(), opt.positional[1].c_str());
   if (res.degraded) {
     std::printf("degraded: %s\n", res.solver.stop_detail.empty()
                                       ? "fell back past the first stage"
                                       : res.solver.stop_detail.c_str());
-    return 75;
-  }
-  return 0;
-}
-
-int cmd_retime(const Options& opt) {
-  if (opt.positional.size() != 2) usage("retime needs <in> <out>");
-  if (!opt.journal.empty() && !opt.fallback)
-    usage("--journal requires --fallback");
-  if ((!opt.checkpoint.empty() || !opt.resume.empty()) && !opt.fallback)
-    usage("--checkpoint/--resume require --fallback");
-  if (opt.fallback && opt.algorithm == "minarea")
-    usage("--fallback starts from minobswin or minobs, not minarea");
-  const Netlist nl = read_any(opt.positional[0]);
-  CellLibrary lib;
-  RetimingGraph g(nl, lib);
-  if (opt.fallback) return cmd_retime_fallback(opt, nl, g);
-  InitOptions init_opt;
-  init_opt.deadline = opt.deadline;
-  const InitResult init = initialize_retiming(g, init_opt);
-  TimingParams timing = init.timing;
-  if (opt.period > 0) timing.period = opt.period;
-  const double rmin = opt.rmin >= 0 ? opt.rmin : init.rmin;
-
-  SolverResult result;
-  std::optional<ObsGains> gains;
-  if (opt.algorithm == "minarea") {
-    const MinAreaResult area = min_area_retime(g, timing, init.r, rmin);
-    result = area.solver;
-    std::printf("min-area: register positions %lld -> %lld\n",
-                static_cast<long long>(area.positions_before),
-                static_cast<long long>(area.positions_after));
-  } else if (opt.algorithm == "minobs" || opt.algorithm == "minobswin") {
-    SimConfig sim;
-    sim.patterns = opt.patterns;
-    sim.frames = opt.frames;
-    sim.deadline = opt.deadline;
-    ObservabilityAnalyzer obs(nl, sim);
-    gains = compute_gains(g, obs.run().obs, sim.patterns, opt.area_weight);
-    SolverOptions so;
-    so.timing = timing;
-    so.rmin = rmin;
-    so.enforce_elw = opt.algorithm == "minobswin";
-    so.deadline = opt.deadline;
-    result = MinObsWinSolver(g, *gains, so).solve(init.r);
-    std::printf("%s: K-scaled observability gain %lld, %d commits%s\n",
-                opt.algorithm.c_str(),
-                static_cast<long long>(result.objective_gain),
-                result.commits,
-                result.exited_early ? " [early exit]" : "");
-  } else {
-    usage("unknown --algorithm");
-  }
-
-  if (opt.verify) {
-    OracleOptions oracle_options;
-    oracle_options.timing = timing;
-    oracle_options.rmin = rmin;
-    oracle_options.check_elw =
-        opt.algorithm == "minobswin" && rmin > 0 && !result.exited_early;
-    oracle_options.area_weight = opt.area_weight;
-    const RetimingOracle oracle(g, oracle_options);
-    // min-area claims no Eq. (5) objective, so only invariants 1-3 apply.
-    const Verdict verdict = gains ? oracle.verify(result, init.r, *gains)
-                                  : oracle.verify(result.r);
-    if (!verdict.ok()) {
-      for (const Diagnostic& d : verdict.diagnostics.diagnostics())
-        std::fprintf(stderr, "%s\n", d.render().c_str());
-      std::fprintf(stderr, "%s; nothing written\n",
-                   verdict.summary().c_str());
-      return 76;
-    }
-    std::printf("oracle: %s\n", verdict.summary().c_str());
-  }
-
-  const Netlist out = apply_retiming(g, result.r, nl.name() + "_rt");
-  write_any(opt.positional[1], out);
-  std::printf("flip-flops %zu -> %zu; wrote %s\n", nl.dff_count(),
-              out.dff_count(), opt.positional[1].c_str());
-  if (result.partial()) {
-    // The retiming written above is feasible (solvers only stop at legal
-    // checkpoints) but may not be converged: signal that distinctly.
-    std::printf("partial: %s\n", result.stop_detail.c_str());
     return 75;
   }
   return 0;

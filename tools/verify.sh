@@ -5,7 +5,7 @@
 #
 #   static    serelin_lint + clang -Wthread-safety build + clang-tidy
 #   tier1     regular build + full test suite
-#   examples  oracle-verified fallback retime over every bundled circuit
+#   examples  oracle-verified pipeline retime over every bundled circuit
 #   tsan      parallel determinism + tracer suites under ThreadSanitizer
 #   asan      full suite under ASan+UBSan
 #   fault     seeded fault-injection smoke + corpus replay under ASan+UBSan
@@ -139,11 +139,11 @@ stage_tier1() {
 }
 
 stage_examples() {
-  echo "== examples: verified fallback retime over the bundled circuits =="
+  echo "== examples: verified pipeline retime over the bundled circuits =="
   # Every bundled circuit must come back oracle-verified through the
   # graceful-degradation pipeline: exit 0 (converged) and 75 (degraded but
-  # verified) are fine, anything else — in particular 76, verification
-  # failure — fails the script. Journals land in build/journals/.
+  # verified) are fine, anything else — in particular 76, no stage
+  # verified — fails the script. Journals land in build/journals/.
   cmake -B build -S . > /dev/null
   cmake --build build -j"$(nproc)" --target serelin_cli
   mkdir -p build/journals
@@ -153,7 +153,7 @@ stage_examples() {
     status=0
     ./build/tools/serelin_cli retime "$circuit" \
         "build/journals/$stem.out.${circuit##*.}" \
-        --fallback --verify --deadline 60 \
+        --verify --deadline 60 \
         --journal "build/journals/$stem.jsonl" > /dev/null || status=$?
     if [[ "$status" != 0 && "$status" != 75 ]]; then
       echo "verify: $circuit failed the oracle pipeline (exit $status)" >&2
