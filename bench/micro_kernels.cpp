@@ -6,7 +6,7 @@
 // (tools/bench_report records the same kernels into BENCH_parallel.json).
 #include <benchmark/benchmark.h>
 
-#include "core/wd_matrices.hpp"
+#include "check/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "interval/interval_set.hpp"
 #include "rgraph/retiming_graph.hpp"

@@ -8,8 +8,8 @@
 // why — the same reason [20] and the paper abandon the matrices.)
 #include <cstdio>
 
+#include "check/wd_matrices.hpp"
 #include "core/min_period.hpp"
-#include "core/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"

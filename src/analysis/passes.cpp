@@ -26,10 +26,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "iteration order is nondeterministic, which breaks bit-identical "
        "reductions"},
       {"wd-dense-gated",
-       "direct WdMatrices use is confined to src/core/wd_matrices.*, "
-       "src/core/wd_query.* and src/check/* — everything else must go "
-       "through the make_wd_query interface, which picks the dense engine "
-       "only below the size threshold (docs/SPARSE_WD.md)"},
+       "direct WdMatrices use is confined to src/check/* — the Θ(|V|²) "
+       "W/D matrices are the exact reference for small circuits; "
+       "production code finds the minimum period with MinPeriodRetimer"},
       {"no-bare-artifact-write",
        "std::ofstream and fopen-for-write are banned outside "
        "src/support/atomic_io.* — artifacts must go through "
@@ -225,14 +224,11 @@ void rule_banned_tokens(const SourceFile& f, Reporter& rep) {
 
 namespace {
 
-/// The dense engine's own implementation, the query interface that wraps
-/// it, and the oracle-side cross-checks (which exist to compare engines)
-/// may name WdMatrices; nothing else in src/ or tools/ may.
+/// The matrices live in src/check as the exact reference, and only the
+/// checking code (which exists to compare engines) may name WdMatrices;
+/// nothing else in src/ or tools/ may.
 bool wd_dense_exempt(const std::string& rel) {
-  return rel == "src/core/wd_matrices.hpp" ||
-         rel == "src/core/wd_matrices.cpp" ||
-         rel == "src/core/wd_query.hpp" || rel == "src/core/wd_query.cpp" ||
-         rel.rfind("src/check/", 0) == 0;
+  return rel.rfind("src/check/", 0) == 0;
 }
 
 }  // namespace
@@ -242,9 +238,9 @@ void rule_wd_dense_gated(const SourceFile& f, Reporter& rep) {
   for (std::size_t li = 0; li < f.code.size(); ++li) {
     if (find_token(f.code[li], "WdMatrices") == std::string::npos) continue;
     rep.report(f.rel, static_cast<int>(li + 1), "wd-dense-gated",
-               "'WdMatrices' is the Θ(|V|²) dense engine; construct W/D "
-               "access through make_wd_query so large circuits take the "
-               "lazy path (docs/SPARSE_WD.md)");
+               "'WdMatrices' is the Θ(|V|²) exact reference and belongs "
+               "in src/check; find the minimum period with "
+               "MinPeriodRetimer");
   }
 }
 

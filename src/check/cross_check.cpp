@@ -1,8 +1,5 @@
 #include "check/cross_check.hpp"
 
-#include <algorithm>
-
-#include "core/wd_matrices.hpp"
 #include "support/check.hpp"
 
 namespace serelin {
@@ -52,58 +49,6 @@ CrossCheckResult cross_check_incremental_timing(const RetimingGraph& g,
       out.ok = false;
       out.detail = "critical-path witness diverges at vertex " +
                    std::to_string(v);
-      return out;
-    }
-  }
-  return out;
-}
-
-CrossCheckResult cross_check_wd_engine(const RetimingGraph& g, WdQuery& wd,
-                                       std::size_t samples) {
-  CrossCheckResult out;
-  WdMatrices dense(g);
-  const std::size_t n = g.vertex_count();
-  SERELIN_REQUIRE(wd.size() == n, "query engine built for another graph");
-
-  // Point queries on evenly-strided source rows.
-  const std::size_t stride =
-      std::max<std::size_t>(1, n / std::max<std::size_t>(1, samples));
-  for (VertexId u = 0; u < n; u += stride) {
-    for (VertexId v = 0; v < n; ++v) {
-      if (wd.w(u, v) != dense.w(u, v)) {
-        out.ok = false;
-        out.detail = "W(" + std::to_string(u) + ", " + std::to_string(v) +
-                     ") mismatch: query " + std::to_string(wd.w(u, v)) +
-                     " vs dense " + std::to_string(dense.w(u, v));
-        return out;
-      }
-      if (dense.w(u, v) != WdMatrices::kUnreachable &&
-          wd.d(u, v) != dense.d(u, v)) {
-        out.ok = false;
-        out.detail = "D(" + std::to_string(u) + ", " + std::to_string(v) +
-                     ") mismatch: query " + std::to_string(wd.d(u, v)) +
-                     " vs dense " + std::to_string(dense.d(u, v));
-        return out;
-      }
-    }
-  }
-
-  // Feasibility probes: the pruned constraint system must reach the exact
-  // Bellman-Ford solution of the dense one at every period, including an
-  // infeasible probe below the smallest candidate.
-  const auto cands = dense.candidate_periods();
-  if (cands.empty()) return out;
-  std::vector<double> probes{cands.front() * 0.5, cands.front(),
-                             cands[cands.size() / 2], cands.back()};
-  for (double phi : probes) {
-    const auto ref = wd_retime_for_period(g, dense, phi);
-    const auto got = wd_query_retime_for_period(g, wd, phi);
-    if (ref.has_value() != got.has_value() ||
-        (ref.has_value() && *ref != *got)) {
-      out.ok = false;
-      out.detail = "retime_for_period(" + std::to_string(phi) +
-                   ") diverges between the query engine and the dense "
-                   "reference";
       return out;
     }
   }

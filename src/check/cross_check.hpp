@@ -1,17 +1,14 @@
-// Cross-checks between the incremental / lazy fast paths and their
-// from-scratch ground truths. The solvers run on GraphTiming::update()
-// cones and the LazyWdQuery's pruned constraint sweeps; both carry
-// bit-identity proofs (docs/SPARSE_WD.md), and these helpers are the
-// executable form of those proofs — independent recomputation through the
-// eager code paths, compared field by field. They back the oracle-style
-// validation suites (tests/test_check.cpp) and are available to any tool
-// that wants a paranoid mode; like the RetimingOracle they report rather
-// than throw.
+// Cross-check of the incremental timing fast path against its
+// from-scratch ground truth. The solvers run on GraphTiming::update()
+// cones, which carry a bit-identity proof (DESIGN.md §4.1); this helper is
+// the executable form of that proof — independent recomputation through
+// the eager code path, compared field by field. It backs the oracle-style
+// validation suites (tests/test_check.cpp) and the differential harness;
+// like the RetimingOracle it reports rather than throws.
 #pragma once
 
 #include <string>
 
-#include "core/wd_query.hpp"
 #include "rgraph/retiming_graph.hpp"
 #include "timing/graph_timing.hpp"
 
@@ -34,13 +31,5 @@ struct CrossCheckResult {
 CrossCheckResult cross_check_incremental_timing(const RetimingGraph& g,
                                                 const GraphTiming& incremental,
                                                 const Retiming& r);
-
-/// Verifies that `wd` (any engine, typically lazy) agrees with a freshly
-/// built dense reference: point queries on `samples` evenly-strided source
-/// rows, and bit-identical wd_query_retime_for_period results at each
-/// probe period (the pruning-dominance invariant, end to end). Dense
-/// reference construction is Θ(|V|²) — size the circuit accordingly.
-CrossCheckResult cross_check_wd_engine(const RetimingGraph& g, WdQuery& wd,
-                                       std::size_t samples = 16);
 
 }  // namespace serelin

@@ -10,13 +10,13 @@
 
 #include "check/cross_check.hpp"
 #include "check/oracle.hpp"
+#include "check/wd_matrices.hpp"
 #include "core/closure_solver.hpp"
 #include "core/exhaustive.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/objective.hpp"
 #include "core/solver.hpp"
-#include "core/wd_query.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/cell_library.hpp"
 #include "netlist/validate.hpp"
@@ -169,7 +169,6 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
   base.timing = init.timing;
   base.rmin = init.rmin;
   base.enforce_elw = elw_active;
-  base.violation_batch = cfg.violation_batch;
 
   // ---- Per-engine inputs, with the planted input fault applied ---------
   auto engine_gains = [&](int engine) {
@@ -339,106 +338,75 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
                   : "forest result not comparable");
   }
 
-  // ---- W/D engines: lazy vs dense, three min-period paths --------------
-  if (cfg.check_wd) {
-    try {
-      WdQueryOptions dense_opt;
-      dense_opt.dense_threshold = static_cast<std::size_t>(-1);
-      dense_opt.deadline = engine_deadline(cfg);
-      WdQueryOptions lazy_opt;
-      lazy_opt.dense_threshold = 0;
-      lazy_opt.deadline = engine_deadline(cfg);
-      auto dense = make_wd_query(g, dense_opt);
-      auto lazy = make_wd_query(g, lazy_opt);
+  // ---- Min period: exact W/D search vs FEAS ----------------------------
+  try {
+    const WdMatrices wd(g, engine_deadline(cfg));
+    const auto dq =
+        wd_min_period(g, wd, base.timing.setup, engine_deadline(cfg));
+    MinPeriodRetimer::Options mo;
+    mo.setup = base.timing.setup;
+    mo.deadline = engine_deadline(cfg);
+    const auto feas = MinPeriodRetimer(g, mo).minimize();
 
-      const CrossCheckResult cc = cross_check_wd_engine(g, *lazy);
-      if (!cc.ok) h.diverge("wd-engine-mismatch", cc.detail);
-      h.outcome("wd-lazy", cc.ok ? EngineStatus::kOk : EngineStatus::kCrashed,
-                cc.ok ? std::string() : cc.detail);
-
-      const auto dq =
-          wd_query_min_period(g, *dense, base.timing.setup, engine_deadline(cfg));
-      const auto lq =
-          wd_query_min_period(g, *lazy, base.timing.setup, engine_deadline(cfg));
-      MinPeriodRetimer::Options mo;
-      mo.setup = base.timing.setup;
-      mo.deadline = engine_deadline(cfg);
-      const auto feas = MinPeriodRetimer(g, mo).minimize();
-
-      struct PeriodRun {
-        const char* name;
-        double period;
-        const Retiming* r;
-        bool partial;
-        const std::string* detail;
-        StopReason reason;
-      };
-      const PeriodRun prs[3] = {
-          {"wd-dense", dq.period, &dq.r, dq.partial(), &dq.stop_detail,
-           dq.stop_reason},
-          {"wd-lazy-minperiod", lq.period, &lq.r, lq.partial(),
-           &lq.stop_detail, lq.stop_reason},
-          {"feas", feas.period, &feas.r, feas.partial(), &feas.stop_detail,
-           feas.stop_reason},
-      };
-      for (const PeriodRun& pr : prs) {
-        if (pr.partial && pr.detail->empty()) {
-          h.diverge("partial-without-detail",
-                    std::string(pr.name) +
-                        " returned a partial result (stop_reason " +
-                        stop_reason_name(pr.reason) +
-                        ") with an empty stop_detail");
-        }
-        h.outcome(pr.name,
-                  pr.partial ? EngineStatus::kTimeout : EngineStatus::kOk,
-                  *pr.detail);
-        if (pr.r->size() != g.vertex_count() || !g.valid(*pr.r)) {
-          h.diverge("illegal-retiming",
-                    std::string(pr.name) + " returned an invalid retiming");
-          continue;
-        }
-        std::string why;
-        if (!achieves_period(g, *pr.r, pr.period, base.timing.setup, &why)) {
-          h.diverge("period-mismatch", std::string(pr.name) +
-                                           " retiming misses its claimed "
-                                           "period " +
-                                           std::to_string(pr.period) + ": " +
-                                           why);
-        }
+    struct PeriodRun {
+      const char* name;
+      double period;
+      const Retiming* r;
+      bool partial;
+      const std::string* detail;
+      StopReason reason;
+    };
+    const PeriodRun prs[2] = {
+        {"wd-dense", dq.period, &dq.r, dq.partial(), &dq.stop_detail,
+         dq.stop_reason},
+        {"feas", feas.period, &feas.r, feas.partial(), &feas.stop_detail,
+         feas.stop_reason},
+    };
+    for (const PeriodRun& pr : prs) {
+      if (pr.partial && pr.detail->empty()) {
+        h.diverge("partial-without-detail",
+                  std::string(pr.name) +
+                      " returned a partial result (stop_reason " +
+                      stop_reason_name(pr.reason) +
+                      ") with an empty stop_detail");
       }
-      // The dense search is exact; lazy and FEAS are upper bounds. Either
-      // of them claiming a *better* period than the exact optimum is a
-      // divergence (the other direction is legitimate approximation).
-      if (!dq.partial()) {
-        if (!dq.exact) {
-          h.diverge("period-mismatch",
-                    "dense engine reported a non-exact min period");
-        }
-        if (!lq.partial() && lq.period < dq.period - kPeriodEps) {
-          h.diverge("period-mismatch",
-                    "lazy min period " + std::to_string(lq.period) +
-                        " beats the exact dense optimum " +
-                        std::to_string(dq.period));
-        }
-        if (!feas.partial() && feas.period < dq.period - kPeriodEps) {
-          h.diverge("period-mismatch",
-                    "FEAS min period " + std::to_string(feas.period) +
-                        " beats the exact dense optimum " +
-                        std::to_string(dq.period));
-        }
+      h.outcome(pr.name,
+                pr.partial ? EngineStatus::kTimeout : EngineStatus::kOk,
+                *pr.detail);
+      if (pr.r->size() != g.vertex_count() || !g.valid(*pr.r)) {
+        h.diverge("illegal-retiming",
+                  std::string(pr.name) + " returned an invalid retiming");
+        continue;
       }
-    } catch (const CancelledError& e) {
-      h.outcome("wd-dense", EngineStatus::kTimeout, e.what());
-    } catch (const std::exception& e) {
-      h.outcome("wd-dense", EngineStatus::kCrashed, e.what());
-      h.diverge("engine-crash", std::string("wd engines threw: ") + e.what());
+      std::string why;
+      if (!achieves_period(g, *pr.r, pr.period, base.timing.setup, &why)) {
+        h.diverge("period-mismatch", std::string(pr.name) +
+                                         " retiming misses its claimed "
+                                         "period " +
+                                         std::to_string(pr.period) + ": " +
+                                         why);
+      }
     }
-  } else {
-    h.outcome("wd-dense", EngineStatus::kSkipped, "check_wd disabled");
+    // The dense search is exact and FEAS an upper bound: FEAS claiming a
+    // *better* period than the exact optimum is a divergence (the other
+    // direction is legitimate approximation).
+    if (!dq.partial() && !feas.partial() &&
+        feas.period < dq.period - kPeriodEps) {
+      h.diverge("period-mismatch",
+                "FEAS min period " + std::to_string(feas.period) +
+                    " beats the exact dense optimum " +
+                    std::to_string(dq.period));
+    }
+  } catch (const CancelledError& e) {
+    h.outcome("wd-dense", EngineStatus::kTimeout, e.what());
+  } catch (const std::exception& e) {
+    h.outcome("wd-dense", EngineStatus::kCrashed, e.what());
+    h.diverge("engine-crash",
+              std::string("min-period engines threw: ") + e.what());
   }
 
   // ---- Incremental relabeling: random walk vs fresh compute ------------
-  if (cfg.check_incremental && !g.gate_vertices().empty()) {
+  if (!g.gate_vertices().empty()) {
     try {
       GraphTiming t(g, init.timing);
       t.compute(init.r);
@@ -474,13 +442,11 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
                 std::string("incremental walk threw: ") + e.what());
     }
   } else {
-    h.outcome("incremental", EngineStatus::kSkipped,
-              cfg.check_incremental ? "no movable vertices"
-                                    : "check_incremental disabled");
+    h.outcome("incremental", EngineStatus::kSkipped, "no movable vertices");
   }
 
   // ---- Materialization: apply → write → reparse must round-trip --------
-  if (cfg.check_materialize && forest.status != EngineStatus::kCrashed &&
+  if (forest.status != EngineStatus::kCrashed &&
       forest.status != EngineStatus::kSkipped && g.valid(forest.res.r)) {
     try {
       const Netlist retimed =
@@ -504,8 +470,7 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
     }
   } else {
     h.outcome("materialize", EngineStatus::kSkipped,
-              cfg.check_materialize ? "no forest retiming to materialize"
-                                    : "check_materialize disabled");
+              "no forest retiming to materialize");
   }
 
   return h.report;

@@ -2,15 +2,16 @@
 // ships on the same circuit and assert that they agree.
 //
 // The solver stack has redundant implementations by design — the regular
-// forest (MinObsWin), the closure solver, exhaustive enumeration, the
-// dense and lazy W/D engines, incremental and from-scratch relabeling —
-// and the paper's own test invariants tie them together: the forest must
-// match exhaustive search exactly on tiny instances, the closure solver
-// can never beat the forest, the lazy W/D engine is bit-identical to the
-// dense one, incremental relabeling is bit-identical to compute(). A
-// differential run executes all of them on one netlist and turns every
-// violated agreement into a structured Divergence, so a coverage-guided
-// fuzzer (tools/fuzz_solvers) only has to generate circuits and count.
+// forest (MinObsWin), the closure solver, exhaustive enumeration, FEAS and
+// the exact W/D min-period search (src/check/wd_matrices.hpp),
+// incremental and from-scratch relabeling — and the paper's own test
+// invariants tie them together: the forest must match exhaustive search
+// exactly on tiny instances, the closure solver can never beat the forest,
+// FEAS can never beat the exact W/D period, incremental relabeling is
+// bit-identical to compute(). A differential run executes all of them on
+// one netlist and turns every violated agreement into a structured
+// Divergence, so a coverage-guided fuzzer (tools/fuzz_solvers) only has to
+// generate circuits and count.
 //
 // Timeouts are not disagreements: an engine that stops at its deadline
 // returns a Partial result whose stop_detail says so, is reported with
@@ -70,7 +71,6 @@ struct DiffConfig {
 
   bool enforce_elw = true;   ///< run MinObsWin (else MinObs baseline mode)
   double area_weight = 0.0;  ///< §VII area term forwarded to compute_gains
-  std::size_t violation_batch = 256;
 
   /// Gate-count ceiling for the exhaustive reference ((bound+1)^gates
   /// feasibility checks); above it only forest-vs-closure is compared.
@@ -80,10 +80,6 @@ struct DiffConfig {
   /// Per-engine wall-clock budget in seconds; <= 0 means none. Engines
   /// that hit it report kTimeout, not a divergence.
   double engine_seconds = 0.0;
-
-  bool check_wd = true;           ///< dense-vs-lazy W/D + min-period engines
-  bool check_incremental = true;  ///< incremental relabeling random walk
-  bool check_materialize = true;  ///< apply_retiming → write → reparse
 
   /// Moves of the incremental-relabeling random walk and its seed.
   int walk_moves = 24;

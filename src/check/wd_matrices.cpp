@@ -1,9 +1,8 @@
-#include "core/wd_matrices.hpp"
+#include "check/wd_matrices.hpp"
 
 #include <algorithm>
 #include <queue>
 
-#include "core/wd_query.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/parallel.hpp"
@@ -29,6 +28,68 @@ struct WdScratch {
     }
   }
 };
+
+/// One difference constraint r(u) − r(v) ≤ cost (edge v → u of weight
+/// cost in the shortest-path encoding).
+struct WdConstraint {
+  VertexId from;  ///< v of "r(u) − r(v) ≤ cost"
+  VertexId to;    ///< u
+  std::int64_t cost;
+};
+
+/// Bellman–Ford over P0 + P1 + boundary-pinning difference constraints,
+/// nullopt on a negative cycle (period infeasible). `extra` carries the P1
+/// pair constraints; P0 and root pinning are derived from the graph.
+std::optional<Retiming> wd_solve_constraints(
+    const RetimingGraph& g, const std::vector<WdConstraint>& extra) {
+  const std::size_t n = g.vertex_count();
+
+  // Difference constraints r(u) − r(v) ≤ c become edges v → u of weight c
+  // in the shortest-path encoding. Bellman–Ford starts from all-zero
+  // distances (an implicit super-source, which cannot lie on a cycle), so
+  // no blanket root→v edges are needed — they would wrongly cap every
+  // label at the root's, excluding the positive labels backward moves
+  // need. A virtual root (index n) only *pins* the boundary labels
+  // together; the final labels are normalized against it.
+  std::vector<WdConstraint> edges;
+  edges.reserve(g.edge_count() + 2 * n + extra.size());
+  const VertexId root = static_cast<VertexId>(n);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!g.movable(v)) {
+      edges.push_back({root, v, 0});
+      edges.push_back({v, root, 0});
+    }
+  }
+  for (EdgeId eid = 0; eid < g.edge_count(); ++eid) {
+    const REdge& e = g.edge(eid);
+    edges.push_back({e.to, e.from, e.w});  // P0: r(u) − r(v) ≤ w(e)
+  }
+  edges.insert(edges.end(), extra.begin(), extra.end());
+
+  // Bellman–Ford; a negative cycle means the period is infeasible. Each
+  // successful relaxation is one pivot of the difference-constraint LP.
+  std::vector<std::int64_t> dist(n + 1, 0);
+  std::int64_t relaxations = 0;
+  bool changed = true;
+  for (std::size_t round = 0; round <= n + 1 && changed; ++round) {
+    changed = false;
+    for (const WdConstraint& e : edges) {
+      if (dist[e.from] + e.cost < dist[e.to]) {
+        dist[e.to] = dist[e.from] + e.cost;
+        ++relaxations;
+        changed = true;
+      }
+    }
+  }
+  SERELIN_COUNT(kLpRelaxations, relaxations);
+  if (changed) return std::nullopt;  // still relaxing: negative cycle
+
+  Retiming r(n, 0);
+  for (VertexId v = 0; v < n; ++v)
+    r[v] = static_cast<std::int32_t>(dist[v] - dist[root]);
+  SERELIN_ASSERT(g.valid(r), "W/D feasibility produced an invalid retiming");
+  return r;
+}
 
 }  // namespace
 
@@ -138,7 +199,7 @@ std::optional<Retiming> wd_retime_for_period(const RetimingGraph& g,
 
   // P1 pair constraints r(u) − r(v) ≤ W(u,v) − 1 for every reachable pair
   // whose register-minimal delay exceeds the budget; P0 and root pinning
-  // are derived from the graph inside the shared solver.
+  // are derived from the graph inside the solver.
   std::vector<WdConstraint> extra;
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId v = 0; v < n; ++v) {
@@ -169,6 +230,10 @@ WdMinPeriodResult wd_min_period(const RetimingGraph& g, const WdMatrices& wd,
   while (lo < hi) {
     if (const StopReason sr = deadline.status(); sr != StopReason::kNone) {
       out.stop_reason = sr;
+      out.stop_detail = std::string(stop_reason_name(sr)) +
+                        " during dense candidate binary search; best "
+                        "feasible period " +
+                        std::to_string(out.period);
       return out;
     }
     const std::size_t mid = (lo + hi) / 2;

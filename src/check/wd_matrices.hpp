@@ -14,8 +14,9 @@
 //   r(x) = 0                     for boundary vertices
 // is satisfiable (Leiserson–Saxe Theorem 7), decided by Bellman–Ford.
 //
-// serelin's solvers never use these matrices — they exist as an
-// independent correctness reference for min-period retiming and as the
+// serelin's production paths never use these matrices: every min-period
+// search runs FEAS (MinPeriodRetimer). They are the exact reference that
+// the differential harness checks FEAS against on small circuits, and the
 // measured baseline in bench/wd_comparison (quadratic memory vs the
 // forest's O(|E|)).
 #pragma once
@@ -23,6 +24,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "rgraph/retiming_graph.hpp"
@@ -86,6 +88,10 @@ struct WdMinPeriodResult {
   double period = 0.0;
   Retiming r;
   StopReason stop_reason = StopReason::kNone;
+  /// Human-readable account of an early stop; non-empty whenever
+  /// stop_reason != kNone (timeout must stay distinguishable from a wrong
+  /// answer in differential comparisons).
+  std::string stop_detail;
 
   bool partial() const { return stop_reason != StopReason::kNone; }
 };

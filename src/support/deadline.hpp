@@ -11,7 +11,7 @@
 //    is feasible; on expiry they stop and return a *Partial* result — the
 //    best feasible answer found so far plus a structured StopReason —
 //    instead of throwing.
-//  * Kernels whose output is all-or-nothing (WdMatrices, the
+//  * Kernels whose output is all-or-nothing (the W/D matrices, the
 //    observability runs) throw CancelledError on expiry; the caller that
 //    owns a partial-capable result catches it at its boundary.
 //  * Inside parallel regions every lane polls independently

@@ -22,8 +22,6 @@ const char* counter_name(Counter c) {
     case Counter::kBundleGrowSteps: return "bundle-grow-steps";
     case Counter::kWdSources: return "wd-sources";
     case Counter::kWdHeapPops: return "wd-heap-pops";
-    case Counter::kWdLazyQueries: return "wd-lazy-queries";
-    case Counter::kWdRowsPruned: return "wd-rows-pruned";
     case Counter::kIncrNodesTouched: return "incr-nodes-touched";
     case Counter::kElwIntervalOps: return "elw-interval-ops";
     case Counter::kSimPatternWords: return "sim-pattern-words";

@@ -49,8 +49,6 @@ enum class Counter : std::uint16_t {
   kBundleGrowSteps,  ///< closure-solver bundle growth steps
   kWdSources,        ///< single-source W/D computations
   kWdHeapPops,       ///< Dijkstra heap pops during W/D construction
-  kWdLazyQueries,    ///< point W/D lookups answered by the lazy query engine
-  kWdRowsPruned,     ///< lazy per-source traversals cut by the period budget
   kIncrNodesTouched, ///< vertices relabeled by incremental timing updates
   kElwIntervalOps,   ///< interval-set ops (insert/unite/shift/clamp)
   kSimPatternWords,  ///< 64-pattern value words evaluated by the simulator

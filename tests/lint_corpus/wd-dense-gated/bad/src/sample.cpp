@@ -1,5 +1,5 @@
-// Fixture: solver code constructing the dense W/D engine directly instead
-// of going through make_wd_query (which gates it by circuit size).
+// Fixture: solver code constructing the dense W/D reference directly
+// instead of finding the minimum period with MinPeriodRetimer.
 #include "core/wd_matrices.hpp"
 
 void plan(const serelin::RetimingGraph& g) {

@@ -340,21 +340,5 @@ TEST(CrossCheck, IncrementalTimingCatchesStaleLabels) {
   EXPECT_FALSE(res.detail.empty());
 }
 
-TEST(CrossCheck, LazyWdEngineValidatesAgainstDense) {
-  RandomCircuitSpec spec;
-  spec.gates = 120;
-  spec.dffs = 30;
-  spec.seed = 77;
-  const Netlist nl = generate_random_circuit(spec);
-  CellLibrary lib;
-  RetimingGraph g(nl, lib);
-  WdQueryOptions opt;
-  opt.dense_threshold = 0;  // force lazy
-  opt.cache_rows = 4;
-  auto lazy = make_wd_query(g, opt);
-  const CrossCheckResult res = cross_check_wd_engine(g, *lazy);
-  EXPECT_TRUE(res.ok) << res.detail;
-}
-
 }  // namespace
 }  // namespace serelin

@@ -20,11 +20,11 @@
 
 #include "check/differential.hpp"
 #include "check/shrink.hpp"
+#include "check/wd_matrices.hpp"
 #include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/solver.hpp"
-#include "core/wd_query.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/bench_io.hpp"
@@ -151,21 +151,21 @@ TEST(StopDetail, MinPeriodCancelled) {
                  "feas");
 }
 
-TEST(StopDetail, WdQueryMinPeriodDeadline) {
+TEST(StopDetail, WdMinPeriodDeadline) {
   StopFixture fx;
-  const auto wd = make_wd_query(fx.g);
+  const WdMatrices wd(fx.g);
   const auto res =
-      wd_query_min_period(fx.g, *wd, /*setup=*/0.0, Deadline::after(0.0));
+      wd_min_period(fx.g, wd, /*setup=*/0.0, Deadline::after(0.0));
   ASSERT_TRUE(res.partial());
   expect_partial(StopReason::kDeadline, res.stop_reason, res.stop_detail,
                  "wd-min-period");
 }
 
-TEST(StopDetail, WdQueryMinPeriodCancelled) {
+TEST(StopDetail, WdMinPeriodCancelled) {
   StopFixture fx;
-  const auto wd = make_wd_query(fx.g);
+  const WdMatrices wd(fx.g);
   const auto res =
-      wd_query_min_period(fx.g, *wd, /*setup=*/0.0, cancelled_deadline());
+      wd_min_period(fx.g, wd, /*setup=*/0.0, cancelled_deadline());
   ASSERT_TRUE(res.partial());
   expect_partial(StopReason::kCancelled, res.stop_reason, res.stop_detail,
                  "wd-min-period");

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/wd_matrices.hpp"
+#include "check/wd_matrices.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"

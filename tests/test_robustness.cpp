@@ -10,11 +10,11 @@
 #include <streambuf>
 #include <string>
 
+#include "check/wd_matrices.hpp"
 #include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/solver.hpp"
-#include "core/wd_matrices.hpp"
 #include "gen/fault_inject.hpp"
 #include "helpers.hpp"
 #include "netlist/bench_io.hpp"
@@ -327,10 +327,13 @@ TEST(Deadline, WdMatricesThrowsCancelled) {
   const RetimingGraph g(nl, lib);
   EXPECT_THROW(WdMatrices(g, Deadline::after(0.0)), CancelledError);
   // And wd_min_period under an expired deadline still returns a legal
-  // feasibility-proven result (the critical-path probe).
+  // feasibility-proven result (the critical-path probe) that says why it
+  // stopped.
   const WdMatrices wd(g);
   const auto res = wd_min_period(g, wd, 0.0, Deadline::after(0.0));
   EXPECT_TRUE(g.valid(res.r));
+  ASSERT_TRUE(res.partial());
+  EXPECT_FALSE(res.stop_detail.empty());
 }
 
 TEST(Deadline, ObservabilityThrowsCancelled) {

@@ -1,7 +1,8 @@
 // Contract tests of the shipped command-line tools, run as subprocesses
 // with the flags scripts and CI use: `serelin_cli retime` goes through the
 // solver pipeline for every --algorithm and both netlist formats, and
-// `bench_report` writes a report the strict protocol parser accepts.
+// `bench_report` writes a report the strict protocol parser accepts and
+// rejects unknown kernel names.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -80,6 +81,19 @@ TEST(BenchReport, WritesAReportTheStrictParserAccepts) {
         "\"counters_identical_across_threads\":true", "\"counters\":{",
         "\"results\":[{\"threads\":1,", "{\"threads\":2,"})
     EXPECT_NE(text.find(key), std::string::npos) << key;
+}
+
+TEST(BenchReport, RejectsUnknownKernelNames) {
+  const std::string path = temp_path("bench_report_unknown.json");
+  for (const std::string kernels : {"wd_query", "obs_signature,nope"}) {
+    fs::remove(path);
+    EXPECT_EQ(run(std::string(SERELIN_BENCH_REPORT_BIN) + " --out " + path +
+                  " --gates 400 --dffs 100 --threads 1 --repeat 1"
+                  " --kernels " + kernels),
+              64)
+        << kernels;
+    EXPECT_FALSE(fs::exists(path)) << kernels;
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "core/wd_matrices.hpp"
+#include "check/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
 #include "rgraph/retiming_graph.hpp"

@@ -1,9 +1,9 @@
-// Tests of the classical W/D-matrix formulation (src/core/wd_matrices) and
+// Tests of the classical W/D-matrix formulation (src/check/wd_matrices) and
 // its cross-validation against the FEAS-based min-period retimer.
 #include <gtest/gtest.h>
 
+#include "check/wd_matrices.hpp"
 #include "core/min_period.hpp"
-#include "core/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"

@@ -5,23 +5,22 @@
 //
 //   bench_report [--out BENCH_parallel.json] [--gates N] [--dffs N]
 //                [--threads 1,2,4,8] [--repeat R]
-//                [--kernels wd_construct,wd_query,...]
+//                [--kernels wd_construct,incr_relabel,...]
 //
 // Each (kernel, threads) cell reports the best of R runs (default 2) and
 // the speedup relative to the same kernel at 1 thread. The tool also
 // cross-checks that every thread count produced bit-identical results and
 // refuses to write the report otherwise — the determinism contract of
 // docs/PARALLELISM.md is enforced at measurement time.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
-#include <limits>
-#include <span>
-
-#include "core/wd_query.hpp"
+#include "check/wd_matrices.hpp"
 #include "flow/journal.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
@@ -58,12 +57,26 @@ struct KernelReport {
   bool counters_identical = true;
 };
 
+/// Every kernel, in run order; --kernels names are checked against it.
+constexpr const char* kKernelNames[] = {"wd_construct", "incr_relabel",
+                                        "obs_exact",    "obs_signature",
+                                        "ser_sweep"};
+
+std::string kernel_list() {
+  std::string out;
+  for (const char* k : kKernelNames) {
+    if (!out.empty()) out += ',';
+    out += k;
+  }
+  return out;
+}
+
 [[noreturn]] void usage_error(const std::string& msg) {
   std::fprintf(stderr, "error: %s\n", msg.c_str());
   std::fprintf(stderr,
                "usage: bench_report [--out f.json] [--gates N] [--dffs N]"
-               " [--threads 1,2,4,8] [--repeat R]"
-               " [--kernels wd_construct,wd_query,...]\n");
+               " [--threads 1,2,4,8] [--repeat R] [--kernels %s]\n",
+               kernel_list().c_str());
   std::exit(64);
 }
 
@@ -101,7 +114,13 @@ std::vector<std::string> parse_kernels(const char* arg) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
     std::string name = s.substr(pos, comma - pos);
-    if (!name.empty()) out.push_back(std::move(name));
+    if (!name.empty()) {
+      if (std::find(std::begin(kKernelNames), std::end(kKernelNames),
+                    name) == std::end(kKernelNames))
+        usage_error("--kernels: unknown kernel '" + name + "' (known: " +
+                    kernel_list() + ")");
+      out.push_back(std::move(name));
+    }
     pos = comma + 1;
   }
   if (out.empty()) usage_error("--kernels needs at least one name");
@@ -258,30 +277,10 @@ int main(int argc, char** argv) {
       kernels.push_back(measure(
           "wd_construct", "all-pairs W/D over the retiming graph", threads,
           repeat, [&] {
-            // Dense engine forced through the query interface: the
-            // threshold check is the only extra work, so this still
-            // measures the eager all-pairs construction.
-            WdQueryOptions opt;
-            opt.dense_threshold = std::numeric_limits<std::size_t>::max();
-            auto wd = make_wd_query(g, opt);
+            // Times the exact reference's construction.
+            const WdMatrices wd(g);  // NOLINT(serelin-wd-dense-gated)
             std::vector<std::uint64_t> fp;
-            fp.push_back(fingerprint_bytes(wd->candidate_periods()));
-            return fp;
-          }));
-    }
-
-    if (want("wd_query")) {
-      kernels.push_back(measure(
-          "wd_query", "lazy min-period: ladder + FEAS, no dense W/D",
-          threads, repeat, [&] {
-            WdQueryOptions opt;
-            opt.dense_threshold = 0;  // force the lazy engine at any size
-            auto wd = make_wd_query(g, opt);
-            const WdQueryMinPeriodResult res = wd_query_min_period(g, *wd);
-            std::vector<std::uint64_t> fp;
-            std::vector<double> period{res.period};
-            fp.push_back(fingerprint_bytes(period));
-            fp.push_back(fingerprint_bytes(res.r));
+            fp.push_back(fingerprint_bytes(wd.candidate_periods()));
             return fp;
           }));
     }
@@ -374,11 +373,6 @@ int main(int argc, char** argv) {
             return fp;
           }));
     }
-
-    if (kernels.empty())
-      usage_error("--kernels matched no known kernel (known: wd_construct, "
-                  "wd_query, incr_relabel, obs_exact, obs_signature, "
-                  "ser_sweep)");
 
     bool all_identical = true;
     for (const KernelReport& k : kernels)

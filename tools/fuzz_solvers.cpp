@@ -10,10 +10,10 @@
 // Every iteration draws a constrained random circuit (gen/random_circuit
 // generator modes; --mode picks one, default round-robins all four) and
 // hands it to run_differential (src/check/differential.hpp), which runs
-// the forest solver, the closure solver, exhaustive search, the dense and
-// lazy W/D engines, the FEAS min-period retimer, incremental relabeling
-// and netlist materialization against each other and the independent
-// RetimingOracle. Any violated agreement is a divergence: the circuit is
+// the forest solver, the closure solver, exhaustive search, the FEAS
+// min-period retimer against the exact W/D min-period search, incremental
+// relabeling and netlist materialization against each other and the
+// independent RetimingOracle. Any violated agreement is a divergence: the circuit is
 // delta-debugged down to a 1-minimal netlist that still shows the same
 // divergence kind (src/check/shrink.hpp), persisted to the corpus as
 // div-<contenthash16>.bench with a `fuzz_solvers v1` .repro sidecar
