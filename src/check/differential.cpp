@@ -25,6 +25,7 @@
 #include "sim/observability.hpp"
 #include "sim/sim_config.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 #include "timing/graph_timing.hpp"
 
 namespace serelin {
@@ -474,6 +475,77 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
   }
 
   return h.report;
+}
+
+void append_diff_config(const DiffConfig& cfg, SidecarFields& fields) {
+  const auto add = [&fields](const char* key, const auto& value) {
+    std::ostringstream os;
+    os << value;
+    fields.emplace_back(key, os.str());
+  };
+  add("patterns", cfg.patterns);
+  add("frames", cfg.frames);
+  add("warmup", cfg.warmup);
+  add("sim_seed", cfg.sim_seed);
+  add("enforce_elw", cfg.enforce_elw ? 1 : 0);
+  add("area_weight", cfg.area_weight);
+  add("exhaustive_max_gates", cfg.exhaustive_max_gates);
+  add("exhaustive_bound", cfg.exhaustive_bound);
+  add("engine_seconds", cfg.engine_seconds);
+  add("walk_moves", cfg.walk_moves);
+  add("walk_seed", cfg.walk_seed);
+  add("fault_kind", fault_kind_name(cfg.fault.kind));
+  add("fault_engine", cfg.fault.engine);
+}
+
+std::optional<ReplaySpec> parse_replay_spec(std::string_view sidecar) {
+  const std::optional<SidecarFields> fields =
+      parse_sidecar(sidecar, "solvers");
+  if (!fields) return std::nullopt;
+  ReplaySpec spec;
+  DiffConfig& cfg = spec.cfg;
+  for (const auto& [key, val] : *fields) {
+    if (key == "expect") {
+      spec.expect_divergent = val == "divergent";
+    } else if (key == "patterns") {
+      if (const auto v = parse_int(val, 64, 1 << 20))
+        cfg.patterns = static_cast<int>(*v);
+    } else if (key == "frames") {
+      if (const auto v = parse_int(val, 1, 1000))
+        cfg.frames = static_cast<int>(*v);
+    } else if (key == "warmup") {
+      if (const auto v = parse_int(val, 0, 100000))
+        cfg.warmup = static_cast<int>(*v);
+    } else if (key == "sim_seed") {
+      if (const auto v = parse_uint(val)) cfg.sim_seed = *v;
+    } else if (key == "enforce_elw") {
+      cfg.enforce_elw = val != "0";
+    } else if (key == "area_weight") {
+      if (const auto v = parse_double(val)) cfg.area_weight = *v;
+    } else if (key == "exhaustive_max_gates") {
+      if (const auto v = parse_int(val, 0, 64))
+        cfg.exhaustive_max_gates = static_cast<std::size_t>(*v);
+    } else if (key == "exhaustive_bound") {
+      if (const auto v = parse_int(val, 0, 16))
+        cfg.exhaustive_bound = static_cast<int>(*v);
+    } else if (key == "engine_seconds") {
+      if (const auto v = parse_double(val)) cfg.engine_seconds = *v;
+    } else if (key == "walk_moves") {
+      if (const auto v = parse_int(val, 0, 100000))
+        cfg.walk_moves = static_cast<int>(*v);
+    } else if (key == "walk_seed") {
+      if (const auto v = parse_uint(val)) cfg.walk_seed = *v;
+    } else if (key == "fault_kind") {
+      for (int k = 0; k < kNumFaultKinds; ++k) {
+        const auto kind = static_cast<FaultKind>(k);
+        if (val == fault_kind_name(kind)) cfg.fault.kind = kind;
+      }
+    } else if (key == "fault_engine") {
+      if (const auto v = parse_int(val, 0, 1))
+        cfg.fault.engine = static_cast<int>(*v);
+    }
+  }
+  return spec;
 }
 
 }  // namespace serelin

@@ -10,8 +10,8 @@
 // FEAS can never beat the exact W/D period, incremental relabeling is
 // bit-identical to compute(). A differential run executes all of them on
 // one netlist and turns every violated agreement into a structured
-// Divergence, so a coverage-guided fuzzer (tools/fuzz_solvers) only has to
-// generate circuits and count.
+// Divergence, so the solvers property of tools/serelin_campaign only has
+// to generate circuits and count.
 //
 // Timeouts are not disagreements: an engine that stops at its deadline
 // returns a Partial result whose stop_detail says so, is reported with
@@ -22,15 +22,23 @@
 // "ran out of time" with "computed a different answer".
 //
 // Self-check: PlantedFault seeds a known divergence into one engine's
-// inputs or outputs (fault_inject-style), so the fuzzer can prove its own
-// detection power before trusting a clean run.
+// inputs or outputs (fault_inject-style), so the solvers self-check can
+// prove its detection power before a clean campaign is trusted.
+//
+// Corpus sidecars: a solvers counterexample's `.repro` sidecar records the
+// DiffConfig it was found under, so its replay runs exactly that config.
+// append_diff_config() writes the block and parse_replay_spec() reads it
+// back; the campaign driver and the corpus tests share the pair.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "support/corpus.hpp"
 #include "support/deadline.hpp"
 
 namespace serelin {
@@ -129,5 +137,21 @@ struct DifferentialReport {
 /// Never throws on a wrong solver answer — wrongness becomes a Divergence
 /// (setup failures are reported the same way with ran = false).
 DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg);
+
+/// What a solvers corpus entry's sidecar promises: the config its replay
+/// runs under and the verdict that replay must reproduce.
+struct ReplaySpec {
+  DiffConfig cfg;
+  bool expect_divergent = false;
+};
+
+/// Appends the config block, one `key: value` field per DiffConfig knob,
+/// to a sidecar's fields.
+void append_diff_config(const DiffConfig& cfg, SidecarFields& fields);
+
+/// Parses a solvers sidecar (marker `serelin_campaign solvers v1`): its
+/// `expect:` verdict and config block. nullopt when the marker names
+/// another property; absent or malformed fields keep their defaults.
+std::optional<ReplaySpec> parse_replay_spec(std::string_view sidecar);
 
 }  // namespace serelin

@@ -302,7 +302,7 @@ void RegularForest::add_constraint(VertexId p, VertexId q,
     // least `needed` alongside p, so a larger current weight already
     // satisfies it. Lowering on mismatch livelocks when two sources fold
     // incomparable demands for the same q — each relink undoes the other
-    // (found by fuzz_solvers; see tests/corpus/found).
+    // (found by the solvers campaign; see tests/corpus/found).
     if (!is_singleton(q)) break_tree(q);
     set_weight(q, needed);
   } else if (same_tree(p, q)) {

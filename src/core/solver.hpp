@@ -117,7 +117,7 @@ class MinObsWinSolver {
 
   /// Continues an interrupted solve from a SolverProgress snapshot,
   /// reaching the bit-identical result the uninterrupted run would have
-  /// (the crash-harness contract). The caller is responsible for matching
+  /// (the crash-campaign contract). The caller is responsible for matching
   /// the snapshot to this graph/options (the checkpoint fingerprint);
   /// structurally impossible snapshots throw.
   SolverResult resume(const SolverProgress& progress) const;

@@ -4,7 +4,7 @@
 // and resumed from its checkpoint must reach the exact result the
 // uninterrupted run reaches — same accepted stage, same retiming vector,
 // same objective, same verdict. This comparator states that contract once,
-// field by field, so the crash harness and the tests assert the same
+// field by field, so the crash campaign and the tests assert the same
 // thing; `detail` pinpoints the first differing field on mismatch.
 #pragma once
 

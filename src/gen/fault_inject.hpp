@@ -3,8 +3,8 @@
 // mutate_text() applies seeded random damage of the kinds real inputs
 // arrive with — truncated downloads, binary garbage, encoding damage,
 // editor accidents (duplicated/deleted/swapped lines), and plain typos —
-// to a serialized netlist. The fault harness (tools/fault_harness.cpp) and
-// the robustness tests feed the damaged text through parse → lint →
+// to a serialized netlist. The faults campaign (tools/serelin_campaign.cpp)
+// and the robustness tests feed the damaged text through parse → lint →
 // retime and assert the taxonomy: every outcome is a clean diagnostic, a
 // typed exception, or a Partial result; never a crash, hang, or silent
 // wrong answer.

@@ -16,10 +16,11 @@
 //    read_journal and truncated back to the last intact record by
 //    recover_journal, so a resumed run appends after the recovery point.
 //
-// Both paths carry named crash points for tools/crash_harness: an armed
-// countdown (crash_arm) SIGKILLs the process at the N-th crash point,
-// including *between* the two halves of a journal frame write — the only
-// way to manufacture genuinely torn records under test.
+// Both paths carry named crash points for the crash campaign of
+// tools/serelin_campaign: an armed countdown (crash_arm) SIGKILLs the
+// process at the N-th crash point, including *between* the two halves of
+// a journal frame write — the only way to manufacture genuinely torn
+// records under test.
 //
 // Single-writer contract: one process writes a given artifact path at a
 // time (the tools' scratch directories are per-run). The primitives do
@@ -39,7 +40,8 @@ std::uint32_t crc32(std::string_view data);
 
 /// Arms the crash-injection countdown: the process raises SIGKILL on
 /// itself when the `countdown`-th crash point is reached. Non-positive
-/// disarms. Test-only (tools/crash_harness); never armed in production.
+/// disarms. Test-only (`serelin_campaign crash`); never armed in
+/// production.
 void crash_arm(std::int64_t countdown);
 
 /// Crash points traversed since the last crash_arm (armed or not) — the

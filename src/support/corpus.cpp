@@ -1,12 +1,48 @@
 #include "support/corpus.hpp"
 
+#include <algorithm>
 #include <filesystem>
+#include <sstream>
 
 #include "support/atomic_io.hpp"
 
 namespace serelin {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+std::string sidecar_marker(std::string_view property) {
+  return "serelin_campaign " + std::string(property) + " v1";
+}
+
+}  // namespace
+
+std::string render_sidecar(std::string_view property,
+                           const SidecarFields& fields) {
+  std::string out = sidecar_marker(property) + "\n";
+  for (const auto& [key, value] : fields) {
+    std::string line = value;
+    std::replace(line.begin(), line.end(), '\n', ' ');
+    out += key + ": " + line + "\n";
+  }
+  return out;
+}
+
+std::optional<SidecarFields> parse_sidecar(std::string_view text,
+                                           std::string_view property) {
+  std::istringstream is{std::string(text)};
+  std::string line;
+  if (!std::getline(is, line) || line != sidecar_marker(property))
+    return std::nullopt;
+  SidecarFields fields;
+  while (std::getline(is, line)) {
+    const std::size_t colon = line.find(": ");
+    if (colon != std::string::npos)
+      fields.emplace_back(line.substr(0, colon), line.substr(colon + 2));
+  }
+  return fields;
+}
 
 std::uint64_t content_hash(std::string_view text) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis

@@ -1,17 +1,22 @@
-// Counterexample-corpus persistence shared by the robustness harnesses
-// (tools/fault_harness, tools/fuzz_solvers).
+// Counterexample-corpus persistence and the `.repro` sidecar format of the
+// property campaigns (tools/serelin_campaign).
 //
 // Every persisted counterexample is named by a stable content hash of its
 // payload, so re-finding the same input — across CI runs, seeds, or
 // machines — lands on the same file name and the corpus never accumulates
 // duplicate repros. A sidecar `<name>.repro` carries the reproduction
-// recipe (free-form key: value lines; the fuzz harness additionally stores
-// a replayable config block, see docs/ROBUSTNESS.md §10).
+// recipe: a marker line naming the property that wrote it
+// (`serelin_campaign solvers v1`), then `key: value` lines; the solvers
+// property additionally stores a replayable config block (see
+// docs/ROBUSTNESS.md §6).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace serelin {
 
@@ -21,6 +26,20 @@ std::uint64_t content_hash(std::string_view text);
 
 /// Lower-case 16-hex-digit rendering of a hash.
 std::string hash_hex(std::uint64_t h);
+
+/// The `key: value` fields of a sidecar, in file order.
+using SidecarFields = std::vector<std::pair<std::string, std::string>>;
+
+/// Renders a sidecar: the marker line `serelin_campaign <property> v1`,
+/// then one `key: value` line per field. Newlines inside a value become
+/// spaces, so every field stays on one line.
+std::string render_sidecar(std::string_view property,
+                           const SidecarFields& fields);
+
+/// Parses a sidecar written for `property`. nullopt when the marker line
+/// names another property or is missing; lines without ": " are skipped.
+std::optional<SidecarFields> parse_sidecar(std::string_view text,
+                                           std::string_view property);
 
 struct PersistResult {
   std::string path;     ///< full path of the persisted (or existing) file

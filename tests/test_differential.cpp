@@ -8,12 +8,16 @@
 //  * Shrink — the delta-debugging shrinker preserves the predicate, is
 //    1-minimal at fixpoint, respects its check budget, and rejects a
 //    non-failing start.
-//  * CorpusReplay / Differential — every counterexample committed under
-//    tests/corpus/found/ still behaves as its sidecar promises, and
-//    planted faults are detected (the fuzzer's self-check invariant).
+//  * CorpusSidecar / CorpusReplay / Differential — the solvers sidecar
+//    config block round-trips, every counterexample committed under
+//    tests/corpus/found/ still behaves as its sidecar promises under the
+//    config it records, and planted faults are detected (the solvers
+//    self-check invariant).
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/validate.hpp"
+#include "support/corpus.hpp"
 #include "support/rng.hpp"
 
 #ifndef SERELIN_CORPUS_DIR
@@ -236,15 +241,57 @@ TEST(Shrink, RejectsNonFailingStart) {
 // ---------------------------------------------------------------------------
 // Corpus replay: committed counterexamples stay true to their sidecars.
 
+TEST(CorpusSidecar, DiffConfigRoundTripsFieldForField) {
+  DiffConfig cfg;
+  cfg.enforce_elw = false;
+  cfg.area_weight = 0.25;
+  cfg.patterns = 256;
+  cfg.sim_seed = 0xfeedULL;
+  cfg.fault = {FaultKind::kGainSkew, /*engine=*/1};
+  SidecarFields fields = {{"expect", "divergent"}, {"kind", "oracle-reject"}};
+  append_diff_config(cfg, fields);
+  fields.emplace_back("reproduce", "serelin_campaign self-check");
+
+  const std::optional<ReplaySpec> spec =
+      parse_replay_spec(render_sidecar("solvers", fields));
+  ASSERT_TRUE(spec.has_value());
+  EXPECT_TRUE(spec->expect_divergent);
+  const DiffConfig& back = spec->cfg;
+  EXPECT_EQ(back.patterns, cfg.patterns);
+  EXPECT_EQ(back.frames, cfg.frames);
+  EXPECT_EQ(back.warmup, cfg.warmup);
+  EXPECT_EQ(back.sim_seed, cfg.sim_seed);
+  EXPECT_EQ(back.enforce_elw, cfg.enforce_elw);
+  EXPECT_EQ(back.area_weight, cfg.area_weight);
+  EXPECT_EQ(back.exhaustive_max_gates, cfg.exhaustive_max_gates);
+  EXPECT_EQ(back.exhaustive_bound, cfg.exhaustive_bound);
+  EXPECT_EQ(back.engine_seconds, cfg.engine_seconds);
+  EXPECT_EQ(back.walk_moves, cfg.walk_moves);
+  EXPECT_EQ(back.walk_seed, cfg.walk_seed);
+  EXPECT_EQ(back.fault.kind, cfg.fault.kind);
+  EXPECT_EQ(back.fault.engine, cfg.fault.engine);
+}
+
+TEST(CorpusSidecar, OtherPropertiesAreNotSolversEntries) {
+  SidecarFields fields = {{"expect", "divergent"}};
+  append_diff_config(DiffConfig{}, fields);
+  EXPECT_FALSE(parse_replay_spec(render_sidecar("faults", fields)));
+  EXPECT_FALSE(parse_replay_spec(render_sidecar("crash", fields)));
+  EXPECT_FALSE(parse_replay_spec("expect: divergent\n"));
+  EXPECT_FALSE(parse_replay_spec(""));
+}
+
 struct CorpusEntry {
   std::string bench_path;
-  bool expect_divergent = false;
+  ReplaySpec spec;
 };
 
 /// The committed entries are exactly the `!name.bench` whitelist lines of
-/// tests/corpus/found/.gitignore — scratch findings from local fuzz runs
+/// tests/corpus/found/.gitignore — scratch findings from local campaigns
 /// share the directory but are ignored, so the test enumerates the
-/// whitelist instead of globbing.
+/// whitelist instead of globbing. Each replays under the DiffConfig its
+/// sidecar records, with only the engine budget raised so sanitizer
+/// builds do not time out.
 std::vector<CorpusEntry> committed_corpus_entries() {
   const std::string dir = std::string(SERELIN_CORPUS_DIR) + "/found";
   std::ifstream ignore(dir + "/.gitignore");
@@ -257,13 +304,15 @@ std::vector<CorpusEntry> committed_corpus_entries() {
     if (name.size() < 6 || name.rfind(".bench") != name.size() - 6) continue;
     CorpusEntry entry;
     entry.bench_path = dir + "/" + name;
-    std::ifstream sidecar(entry.bench_path + ".repro");
-    EXPECT_TRUE(sidecar.is_open()) << entry.bench_path << ".repro";
-    std::string sline;
-    while (std::getline(sidecar, sline)) {
-      if (sline.rfind("expect: ", 0) == 0)
-        entry.expect_divergent = sline.substr(8) == "divergent";
-    }
+    std::ifstream in(entry.bench_path + ".repro", std::ios::binary);
+    const std::string sidecar((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    const std::optional<ReplaySpec> spec = parse_replay_spec(sidecar);
+    EXPECT_TRUE(spec.has_value())
+        << entry.bench_path << ".repro is not a solvers sidecar";
+    if (!spec) continue;
+    entry.spec = *spec;
+    entry.spec.cfg.engine_seconds = 30.0;
     out.push_back(std::move(entry));
   }
   return out;
@@ -274,27 +323,24 @@ TEST(CorpusReplay, EveryCommittedEntryMatchesExpectation) {
   ASSERT_FALSE(entries.empty());
   for (const CorpusEntry& entry : entries) {
     const Netlist nl = read_bench_file(entry.bench_path);
-    DiffConfig cfg;
-    cfg.engine_seconds = 30.0;
-    const DifferentialReport report = run_differential(nl, cfg);
+    const DifferentialReport report = run_differential(nl, entry.spec.cfg);
     EXPECT_TRUE(report.ran) << entry.bench_path;
-    EXPECT_EQ(report.divergent(), entry.expect_divergent)
+    EXPECT_EQ(report.divergent(), entry.spec.expect_divergent)
         << entry.bench_path << ": " << report.summary();
   }
 }
 
 TEST(CorpusReplay, CommittedDivergencesAreOneMinimal) {
   // Shrinking an already-minimal counterexample must remove nothing: the
-  // fuzzer promises 1-minimality before persisting, and committed entries
-  // must not rot as the solvers evolve.
+  // solvers campaign promises 1-minimality before persisting, and
+  // committed entries must not rot as the solvers evolve.
   for (const CorpusEntry& entry : committed_corpus_entries()) {
-    if (!entry.expect_divergent) continue;
+    if (!entry.spec.expect_divergent) continue;
     const Netlist nl = read_bench_file(entry.bench_path);
-    DiffConfig cfg;
-    cfg.engine_seconds = 30.0;
+    const DiffConfig& cfg = entry.spec.cfg;
     const DifferentialReport full = run_differential(nl, cfg);
     ASSERT_TRUE(full.divergent()) << entry.bench_path;
-    // Mirror the fuzzer's shrink predicate: the candidate must show the
+    // Mirror the campaign's shrink predicate: the candidate must show the
     // SAME divergence kind. Plain divergent() would let the shrinker
     // wander into setup-crash degenerates (a different bug entirely).
     const std::string kind = full.divergences.front().kind;
@@ -307,7 +353,7 @@ TEST(CorpusReplay, CommittedDivergencesAreOneMinimal) {
     const ShrinkResult res = shrink_netlist(nl, diverges);
     EXPECT_TRUE(res.one_minimal) << entry.bench_path;
     EXPECT_EQ(res.removed, 0) << entry.bench_path
-                              << " shrank further: re-run the fuzzer's "
+                              << " shrank further: re-run the campaign's "
                                  "shrinker and refresh the entry";
   }
 }

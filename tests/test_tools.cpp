@@ -1,8 +1,10 @@
 // Contract tests of the shipped command-line tools, run as subprocesses
 // with the flags scripts and CI use: `serelin_cli retime` goes through the
-// solver pipeline for every --algorithm and both netlist formats, and
+// solver pipeline for every --algorithm and both netlist formats,
 // `bench_report` writes a report the strict protocol parser accepts and
-// rejects unknown kernel names.
+// rejects unknown kernel names, and `serelin_campaign` runs every property
+// campaign clean, replays the committed corpora, and maps failures onto
+// its exit codes.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -29,6 +31,18 @@ int run(const std::string& command) {
 
 std::string temp_path(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
+}
+
+/// A fresh, empty temp directory.
+std::string temp_dir(const std::string& name) {
+  const std::string dir = temp_path(name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+int campaign(const std::string& args) {
+  return run(std::string(SERELIN_CAMPAIGN_BIN) + " " + args);
 }
 
 TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
@@ -94,6 +108,63 @@ TEST(BenchReport, RejectsUnknownKernelNames) {
         << kernels;
     EXPECT_FALSE(fs::exists(path)) << kernels;
   }
+}
+
+TEST(Campaign, SelfCheckPasses) {
+  EXPECT_EQ(campaign("self-check --out " + temp_dir("campaign-self-check")),
+            0);
+}
+
+TEST(Campaign, FaultsRunsCleanAndLeavesNoPendingInput) {
+  const std::string out = temp_dir("campaign-faults");
+  ASSERT_EQ(campaign("faults --iters 60 --out " + out), 0);
+  for (const fs::directory_entry& e : fs::directory_iterator(out))
+    EXPECT_FALSE(e.path().filename().string().starts_with("pending-"))
+        << e.path();
+}
+
+TEST(Campaign, SolversRunsClean) {
+  EXPECT_EQ(
+      campaign("solvers --iters 40 --out " + temp_dir("campaign-solvers")), 0);
+}
+
+TEST(Campaign, CrashResumesEveryKillBitIdentically) {
+  EXPECT_EQ(campaign("crash --iters 1 --kills 5 --out " +
+                     temp_dir("campaign-crash")),
+            0);
+}
+
+TEST(Campaign, ReplaysTheCommittedCorpora) {
+  EXPECT_EQ(campaign(std::string("replay ") + SERELIN_CORPUS_DIR + "/found"),
+            0);
+  EXPECT_EQ(campaign(std::string("replay ") + SERELIN_CORPUS_DIR), 0);
+}
+
+TEST(Campaign, ReplayFailsAnEntryThatContradictsItsSidecar) {
+  const std::string dir = temp_dir("campaign-replay");
+  const std::string name = "div-e054f92bf5760722.bench";
+  const fs::path found = fs::path(SERELIN_CORPUS_DIR) / "found";
+  fs::copy_file(found / name, fs::path(dir) / name);
+  std::ifstream in(found / (name + ".repro"), std::ios::binary);
+  std::string sidecar((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  const std::string divergent = "expect: divergent\n";
+  const std::size_t at = sidecar.find(divergent);
+  ASSERT_NE(at, std::string::npos) << sidecar;
+  sidecar.replace(at, divergent.size(), "expect: clean\n");
+  atomic_write_file((fs::path(dir) / (name + ".repro")).string(), sidecar);
+  EXPECT_EQ(campaign("replay " + dir), 77);
+}
+
+TEST(Campaign, UsageErrorsExit64) {
+  for (const std::string args :
+       {"bogus", "solvers --kills 3", "faults --journal x", "replay"})
+    EXPECT_EQ(campaign(args), 64) << args;
+}
+
+TEST(Campaign, UncreatableOutDirectoryExits70) {
+  for (const std::string command : {"faults", "solvers", "crash", "self-check"})
+    EXPECT_EQ(campaign(command + " --out /proc/nope/x"), 70) << command;
 }
 
 }  // namespace

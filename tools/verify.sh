@@ -8,11 +8,9 @@
 #   examples  oracle-verified pipeline retime over every bundled circuit
 #   tsan      parallel determinism + tracer suites under ThreadSanitizer
 #   asan      full suite under ASan+UBSan
-#   fault     seeded fault-injection smoke + corpus replay under ASan+UBSan
-#   fuzzdiff  differential solver fuzzing: self-check, fixed-seed sweep,
-#             committed-corpus replay under ASan+UBSan
-#   crash     process-kill torture: SIGKILL at seeded points mid-write,
-#             resume, assert bit-identical results and untorn artifacts
+#   campaign  the property campaigns under ASan+UBSan (serelin_campaign):
+#             self-check, faults, solvers and crash campaigns, then replay
+#             of the found corpus and of the malformed-input corpus
 #   serve     job-server protocol smoke under ASan+UBSan: Serve* suites,
 #             then a live daemon driven by serve_bench (mixed concurrent
 #             jobs, duplicate cache hits, saturation backpressure),
@@ -22,11 +20,11 @@
 #                   [--stage NAME]...
 #
 # --stage may repeat; without it every stage runs (minus the --skip-*
-# ones; --skip-asan also skips the fault and fuzzdiff stages, which need
-# the ASan build). --fast restricts ctest to the `fast` label (the
-# exhaustive-optimality and end-to-end suites are labelled `slow`; see
-# tests/CMakeLists.txt). Run from the repository root. Exits non-zero on
-# the first failure.
+# ones; --skip-asan also skips the campaign and serve stages, which need
+# the ASan build — so the default list then runs no crash campaign).
+# --fast restricts ctest to the `fast` label (the exhaustive-optimality
+# and end-to-end suites are labelled `slow`; see tests/CMakeLists.txt).
+# Run from the repository root. Exits non-zero on the first failure.
 #
 # The static stage (docs/STATIC_ANALYSIS.md) degrades gracefully: the
 # serelin_lint pass always runs, the -Wthread-safety build and clang-tidy
@@ -59,7 +57,7 @@ while [[ $# -gt 0 ]]; do
       shift ;;
     *) echo "usage: tools/verify.sh [--fast] [--skip-static] [--skip-tsan]" \
             "[--skip-asan]" \
-            "[--stage static|tier1|examples|tsan|asan|fault|fuzzdiff|crash|serve]..." >&2
+            "[--stage static|tier1|examples|tsan|asan|campaign|serve]..." >&2
        exit 64 ;;
   esac
   shift
@@ -68,9 +66,9 @@ done
 if [[ ${#STAGES[@]} -eq 0 ]]; then
   STAGES=()
   [[ "$SKIP_STATIC" == 1 ]] || STAGES+=(static)
-  STAGES+=(tier1 examples crash)
+  STAGES+=(tier1 examples)
   [[ "$SKIP_TSAN" == 1 ]] || STAGES+=(tsan)
-  [[ "$SKIP_ASAN" == 1 ]] || STAGES+=(asan fault fuzzdiff serve)
+  [[ "$SKIP_ASAN" == 1 ]] || STAGES+=(asan campaign serve)
 fi
 
 stage_static() {
@@ -180,64 +178,45 @@ stage_asan() {
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" "${CTEST_ARGS[@]}")
 }
 
-stage_fault() {
-  echo "== fault: fault-injection smoke + corpus replay under ASan+UBSan =="
+stage_campaign() {
+  echo "== campaign: property campaigns under ASan+UBSan =="
   cmake -B build-asan -S . -DSERELIN_ASAN=ON > /dev/null
-  cmake --build build-asan -j"$(nproc)" --target fault_harness
-  # Seeded fuzz loop through parse -> validate -> deadline-bounded retime
-  # -> independent result oracle (docs/ROBUSTNESS.md).
-  # -fno-sanitize-recover=all means any UB aborts, so a clean exit
-  # certifies the no-crash/no-UB/no-oracle-violation invariant; inputs
-  # that do fail are persisted under tests/corpus/found/ for replay.
-  ./build-asan/tools/fault_harness --verify --seed 1 --iters 2000 \
-      --max-seconds 30
-  # Re-run every previously-found counterexample (empty directory = no-op).
-  ./build-asan/tools/fault_harness --verify --replay tests/corpus/found/
-}
-
-stage_fuzzdiff() {
-  echo "== fuzzdiff: differential solver fuzzing under ASan+UBSan =="
-  cmake -B build-asan -S . -DSERELIN_ASAN=ON > /dev/null
-  cmake --build build-asan -j"$(nproc)" --target fuzz_solvers
-  # 1/3 — self-check: plant ten known faults and demand >= 9 catches, each
-  # shrunk to a small counterexample; proves the harness's detection power
-  # before a clean sweep is allowed to mean anything (docs/ROBUSTNESS.md §10).
-  ./build-asan/tools/fuzz_solvers --self-check \
-      --corpus build-asan/fuzz-selfcheck-corpus
-  # 2/3 — fixed-seed clean sweep: every solver engine must agree on every
-  # generated circuit. Deterministic in the seed; SERELIN_FUZZ_* lets the
-  # nightly job scale the campaign up without editing this script. A
-  # divergence exits 77 and persists its shrunk repro in tests/corpus/found/.
-  ./build-asan/tools/fuzz_solvers \
+  cmake --build build-asan -j"$(nproc)" --target serelin_campaign
+  local campaign=./build-asan/tools/serelin_campaign
+  # -fno-sanitize-recover=all makes any UB abort, so a clean exit
+  # certifies no crash, no UB and no property failure. Failures exit 77
+  # and persist their counterexample (docs/ROBUSTNESS.md §6).
+  # 1/6 — self-check: planted solver faults must be caught, shrunk and
+  # replayed; a torn journal, a damaged checkpoint and a mini kill
+  # campaign must be detected and survived. Detection power first.
+  "$campaign" self-check --out build-asan/campaign-self-check
+  # 2/6 — faults: seeded hostile bytes through parse -> validate ->
+  # deadline-bounded retime -> the independent result oracle.
+  "$campaign" faults --seed 1 --iters 2000 --max-seconds 30
+  # 3/6 — solvers: every engine must agree on every generated circuit.
+  # SERELIN_FUZZ_* lets the nightly job scale up without editing this
+  # script; a divergence persists its shrunk repro in tests/corpus/found/.
+  "$campaign" solvers \
       --seed "${SERELIN_FUZZ_SEED:-1}" \
       --iters "${SERELIN_FUZZ_ITERS:-400}" \
       --max-seconds "${SERELIN_FUZZ_SECONDS:-90}" \
-      --corpus tests/corpus/found
-  # 3/3 — committed-corpus replay: every promoted counterexample must still
-  # match its sidecar's expect: line (a fixed divergence prints FIXED and
-  # stays green; an expected-clean entry that diverges again exits 77).
-  ./build-asan/tools/fuzz_solvers --replay tests/corpus/found
-}
-
-stage_crash() {
-  echo "== crash: process-kill torture of checkpoint/resume =="
-  cmake -B build -S . > /dev/null
-  cmake --build build -j"$(nproc)" --target crash_harness
-  # 1/2 — self-check: a hand-torn journal must be detected and recovered,
-  # a byte-flipped checkpoint rejected, a mini campaign must land kills —
-  # detection power first, as with the fuzzers (docs/ROBUSTNESS.md §11).
-  ./build/tools/crash_harness --self-check --out build/crash-selfcheck
-  # 2/2 — the campaign: fork the solve, SIGKILL it at seeded crash points
+      --out tests/corpus/found
+  # 4/6 — crash: fork the solve, SIGKILL it at seeded crash points
   # (including inside atomic write windows and between journal frame
-  # halves), resume from the scratch the kill left behind, and demand a
-  # bit-identical, oracle-verified result with zero torn artifacts. The
-  # SERELIN_CRASH_* knobs let the nightly job rotate seeds and scale up.
-  ./build/tools/crash_harness \
+  # halves), resume, and demand a bit-identical, oracle-verified result
+  # with zero torn artifacts. A failing trial keeps its scratch directory.
+  "$campaign" crash \
       --seed "${SERELIN_CRASH_SEED:-1}" \
-      --trials "${SERELIN_CRASH_TRIALS:-4}" \
+      --iters "${SERELIN_CRASH_TRIALS:-4}" \
       --kills "${SERELIN_CRASH_KILLS:-40}" \
       --max-seconds "${SERELIN_CRASH_SECONDS:-90}" \
-      --out build/crash-harness
+      --out build-asan/campaign-crash
+  # 5/6 and 6/6 — replay: every found counterexample and every malformed
+  # input through the faults battery, and every solvers entry against its
+  # sidecar's expect: line (a fixed divergence prints FIXED and stays
+  # green; an expected-clean entry that diverges exits 77).
+  "$campaign" replay tests/corpus/found
+  "$campaign" replay tests/corpus
 }
 
 stage_serve() {
@@ -301,9 +280,7 @@ for stage in "${STAGES[@]}"; do
     examples) stage_examples ;;
     tsan) stage_tsan ;;
     asan) stage_asan ;;
-    fault) stage_fault ;;
-    fuzzdiff) stage_fuzzdiff ;;
-    crash) stage_crash ;;
+    campaign) stage_campaign ;;
     serve) stage_serve ;;
     *) echo "verify: unknown stage '$stage'" >&2; exit 64 ;;
   esac
