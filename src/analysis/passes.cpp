@@ -47,9 +47,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "SERELIN_SPAN/SERELIN_COUNT arguments must be side-effect free: the "
        "macros compile out under SERELIN_TRACE=OFF, so ++/--/assignments "
        "in arguments would change behavior between builds"},
-      {"header-self-sufficient",
-       "every src/**/*.hpp must compile on its own (include-what-you-use "
-       "hygiene); checked with one -fsyntax-only compile per header"},
       {"lock-order-cycle",
        "the static mutex-acquisition graph (MutexLock nesting, "
        "SERELIN_REQUIRES preconditions, and calls made while holding a "
@@ -65,7 +62,7 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "with_section) must have a consumer (<image>.find) on some restore "
        "path, and every consumed section must have a writer — an unpaired "
        "name is dead weight or a restore that can never fire "
-       "(docs/CRASH_SAFETY.md)"},
+       "(docs/ROBUSTNESS.md §11)"},
       {"counter-registry",
        "Counter enumerators, counter_name() strings, the "
        "docs/OBSERVABILITY.md counter registry table, and BENCH_*.json "
@@ -114,10 +111,6 @@ void Reporter::report_raw(std::string file, int line, std::string rule,
                           std::string message) {
   findings_.push_back(
       {std::move(file), line, std::move(rule), std::move(message)});
-}
-
-void Reporter::mark_used(const std::string& rel, int line) {
-  used_.emplace(rel, line);
 }
 
 void Reporter::flag_unused_nolints(const std::set<std::string>& active_rules) {
@@ -690,29 +683,14 @@ void pass_protocol_schema(const TreeIndex& tree, const fs::path& root,
   }
 }
 
-void pass_checkpoint_pairing(const TreeIndex& tree, const fs::path& root,
-                             Reporter& rep) {
+void pass_checkpoint_pairing(const TreeIndex& tree, Reporter& rep) {
   const SectionUses uses = extract_checkpoint_sections(tree);
   if (uses.emitted.empty() && uses.consumed.empty()) return;
 
-  // Restore paths live in src/ and tools/, but tests also legitimately
-  // complete a pair (a section written by production code and decoded by
-  // its crash-safety test counts as consumed).
+  // Only restore paths in src/ and tools/ count: a section that only a
+  // test decodes is still dead in every production checkpoint.
   std::set<std::string> consumed_names;
   for (const RegistryEntry& c : uses.consumed) consumed_names.insert(c.name);
-  const fs::path tests_dir = root / "tests";
-  if (fs::exists(tests_dir)) {
-    std::vector<fs::path> test_files;
-    for (const auto& entry : fs::recursive_directory_iterator(tests_dir))
-      if (entry.is_regular_file() &&
-          entry.path().extension().string() == ".cpp")
-        test_files.push_back(entry.path());
-    std::sort(test_files.begin(), test_files.end());
-    for (const fs::path& t : test_files)
-      for (const RegistryEntry& c : extract_section_finds(
-               t, t.lexically_relative(root).generic_string()))
-        consumed_names.insert(c.name);
-  }
 
   std::map<std::string, RegistryEntry> emitted;  // name -> first emit site
   for (const RegistryEntry& e : uses.emitted) emitted.emplace(e.name, e);

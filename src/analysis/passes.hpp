@@ -59,10 +59,6 @@ class Reporter {
   /// Reports without a suppression check (doc-side findings, unused-nolint).
   void report_raw(std::string file, int line, std::string rule,
                   std::string message);
-  /// Records that the marker at `rel:line` was consumed without a finding
-  /// (e.g. a NOLINT that opts a whole header out of a compile check).
-  void mark_used(const std::string& rel, int line);
-
   /// Flags named NOLINT markers that name at least one rule in
   /// `active_rules` yet suppressed nothing this run.
   void flag_unused_nolints(const std::set<std::string>& active_rules);
@@ -92,8 +88,7 @@ void pass_counter_registry(const TreeIndex& tree,
                            const std::filesystem::path& root, Reporter& rep);
 void pass_protocol_schema(const TreeIndex& tree,
                           const std::filesystem::path& root, Reporter& rep);
-void pass_checkpoint_pairing(const TreeIndex& tree,
-                             const std::filesystem::path& root, Reporter& rep);
+void pass_checkpoint_pairing(const TreeIndex& tree, Reporter& rep);
 
 // --- flow-aware passes ---
 void pass_lock_order(const TreeIndex& tree, Reporter& rep);

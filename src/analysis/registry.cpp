@@ -144,7 +144,8 @@ SectionUses extract_checkpoint_sections(const TreeIndex& tree) {
         if (!name.empty())
           uses.emitted.push_back({name, f.rel, static_cast<int>(li + 1)});
       }
-      if ((p = raw.find("with_section(\"")) != std::string::npos) {
+      if (find_token(code, "with_section") != std::string::npos &&
+          (p = raw.find("with_section(\"")) != std::string::npos) {
         const std::string name = quoted_name(raw, p + 13);
         if (!name.empty())
           uses.emitted.push_back({name, f.rel, static_cast<int>(li + 1)});
@@ -162,21 +163,6 @@ SectionUses extract_checkpoint_sections(const TreeIndex& tree) {
     }
   }
   return uses;
-}
-
-std::vector<RegistryEntry> extract_section_finds(const fs::path& abs,
-                                                 const std::string& rel) {
-  std::vector<RegistryEntry> out;
-  const std::vector<std::string> raw = read_lines(abs);
-  for (std::size_t li = 0; li < raw.size(); ++li) {
-    std::size_t p = 0;
-    while ((p = raw[li].find(".find(\"", p)) != std::string::npos) {
-      const std::string name = quoted_name(raw[li], p + 6);
-      if (!name.empty()) out.push_back({name, rel, static_cast<int>(li + 1)});
-      p += 7;
-    }
-  }
-  return out;
 }
 
 std::vector<RegistryEntry> extract_protocol_fields(const TreeIndex& tree) {

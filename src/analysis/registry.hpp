@@ -72,11 +72,6 @@ struct SectionUses {
 };
 SectionUses extract_checkpoint_sections(const TreeIndex& tree);
 
-/// Consumer sites (`.find("x")`) in one extra file outside the indexed
-/// tree — used to credit test-side restore paths.
-std::vector<RegistryEntry> extract_section_finds(
-    const std::filesystem::path& abs, const std::string& rel);
-
 /// Serve protocol field names used by src/serve: parser/dispatcher
 /// accessors (get_string/get_number/get_int/get_bool), response builders
 /// (.set("x", ...)), check_fields allowlists, and the "op" key itself.

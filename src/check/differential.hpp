@@ -6,9 +6,12 @@
 // the exact W/D min-period search (src/check/wd_matrices.hpp),
 // incremental and from-scratch relabeling — and the paper's own test
 // invariants tie them together: the forest must match exhaustive search
-// exactly on tiny instances, the closure solver can never beat the forest,
+// exactly on tiny instances, the closure solver must not beat the forest,
 // FEAS can never beat the exact W/D period, incremental relabeling is
-// bit-identical to compute(). A differential run executes all of them on
+// bit-identical to compute(). The closure-vs-forest relation is checked,
+// not proven: the `expect: divergent` entries in tests/corpus/found are
+// circuits where the closure solver's gain exceeds the forest's (the P2'
+// attribution gap). A differential run executes all of them on
 // one netlist and turns every violated agreement into a structured
 // Divergence, so the solvers property of tools/serelin_campaign only has
 // to generate circuits and count.

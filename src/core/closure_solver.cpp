@@ -130,30 +130,6 @@ ClosureSolver::ClosureSolver(const RetimingGraph& g, const ObsGains& gains,
                   "gains must be indexed by VertexId");
 }
 
-std::string ClosureProgress::encode() const {
-  BinWriter w;
-  w.u32(static_cast<std::uint32_t>(r.size()));
-  for (const std::int32_t rv : r) w.i32(rv);
-  w.i32(commits);
-  w.i64(iterations);
-  w.i64(objective_gain);
-  return w.take();
-}
-
-ClosureProgress ClosureProgress::decode(std::string_view bytes) {
-  BinReader rd(bytes);
-  ClosureProgress p;
-  const std::uint32_t n = rd.u32();
-  p.r.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.r[i] = rd.i32();
-  p.commits = rd.i32();
-  p.iterations = rd.i64();
-  p.objective_gain = rd.i64();
-  if (!rd.done())
-    throw ParseError("closure progress: trailing bytes past the snapshot");
-  return p;
-}
-
 SolverResult ClosureSolver::solve(const Retiming& initial) const {
   SERELIN_SPAN("solver/closure");
   SERELIN_REQUIRE(g_->valid(initial), "initial retiming must be valid");
@@ -168,45 +144,11 @@ SolverResult ClosureSolver::solve(const Retiming& initial) const {
     out.exited_early = true;
     return out;
   }
-  return run_from(std::move(out));
-}
-
-SolverResult ClosureSolver::resume(const ClosureProgress& progress) const {
-  SERELIN_SPAN("solver/closure");
-  SERELIN_REQUIRE(progress.r.size() == g_->vertex_count(),
-                  "closure progress snapshot is for a different graph");
-  SERELIN_REQUIRE(g_->valid(progress.r),
-                  "closure progress carries an invalid retiming");
-  SolverResult out;
-  out.r = progress.r;
-  out.commits = progress.commits;
-  out.iterations = progress.iterations;
-  out.objective_gain = progress.objective_gain;
-  return run_from(std::move(out));
-}
-
-SolverResult ClosureSolver::run_from(SolverResult out) const {
-  const double rmin = opt_.enforce_elw ? opt_.rmin : 0.0;
-  ConstraintChecker checker(*g_, opt_.timing, rmin);
-  GraphTiming timing(*g_, opt_.timing);
-  timing.compute(out.r);
-  // Snapshots are only taken at feasible states; see resume() callers.
-  SERELIN_REQUIRE(!checker.find_violation(out.r, timing),
-                  "closure snapshot is not feasible under these options "
-                  "(wrong circuit or parameters?)");
 
   const std::size_t n = g_->vertex_count();
   BundleGrower grower(*g_, *gains_, checker, timing, opt_.deadline);
   std::vector<char> excluded(n, 0);
 
-  const auto snapshot = [&](CheckpointImage& image) {
-    ClosureProgress p;
-    p.r = out.r;
-    p.commits = out.commits;
-    p.iterations = out.iterations;
-    p.objective_gain = out.objective_gain;
-    image.sections.emplace_back("closure", p.encode());
-  };
   const auto stop = [&](const char* where) {
     out.stop_reason = opt_.deadline.status();
     if (out.stop_reason == StopReason::kNone)
@@ -215,9 +157,6 @@ SolverResult ClosureSolver::run_from(SolverResult out) const {
                       " during ClosureSolver (" + where + ") after " +
                       std::to_string(out.commits) +
                       " commit(s); returning best feasible retiming";
-    // An early stop leaves a resumable snapshot of this exact state
-    // (out.r was last replaced at a commit, so it is feasible).
-    if (opt_.checkpoint.enabled()) opt_.checkpoint.force(snapshot);
   };
 
   using Status = BundleGrower::Status;
@@ -269,11 +208,8 @@ SolverResult ClosureSolver::run_from(SolverResult out) const {
       break;
     }
     if (!committed) break;
-    // A commit changes the landscape: re-admit every seed. With the
-    // exclusions reset, {r, counters} is the complete state — the safe
-    // point a snapshot captures.
+    // A commit changes the landscape: re-admit every seed.
     std::fill(excluded.begin(), excluded.end(), 0);
-    if (opt_.checkpoint.enabled()) opt_.checkpoint.offer(snapshot);
   }
   return out;
 }

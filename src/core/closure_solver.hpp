@@ -20,21 +20,6 @@
 
 namespace serelin {
 
-/// Mid-solve state of ClosureSolver, serialized into the "closure" section
-/// of a checkpoint. Snapshots are taken right after a committed bundle,
-/// where the excluded-seed set has just been reset — the committed retiming
-/// plus counters is therefore the complete state.
-struct ClosureProgress {
-  Retiming r;
-  int commits = 0;
-  std::int64_t iterations = 0;
-  std::int64_t objective_gain = 0;
-
-  std::string encode() const;
-  /// Throws serelin::ParseError on truncated/garbled bytes.
-  static ClosureProgress decode(std::string_view bytes);
-};
-
 class ClosureSolver {
  public:
   ClosureSolver(const RetimingGraph& g, const ObsGains& gains,
@@ -42,14 +27,7 @@ class ClosureSolver {
 
   SolverResult solve(const Retiming& initial) const;
 
-  /// Continues an interrupted solve from a ClosureProgress snapshot; the
-  /// result is bit-identical to the uninterrupted run's.
-  SolverResult resume(const ClosureProgress& progress) const;
-
  private:
-  SolverResult run_from(SolverResult out) const;
-
-
   const RetimingGraph* g_;
   const ObsGains* gains_;
   SolverOptions opt_;

@@ -1,40 +1,12 @@
 #include "core/min_period.hpp"
 
 #include <algorithm>
-#include <bit>
 
-#include "support/check.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "timing/graph_timing.hpp"
 
 namespace serelin {
-
-std::string PeriodProgress::encode() const {
-  BinWriter w;
-  // Doubles travel as their IEEE-754 bit patterns: the resumed search must
-  // bisect the exact same interval the interrupted one would have.
-  w.u64(std::bit_cast<std::uint64_t>(lo));
-  w.u64(std::bit_cast<std::uint64_t>(hi));
-  w.u64(std::bit_cast<std::uint64_t>(period));
-  w.u32(static_cast<std::uint32_t>(r.size()));
-  for (const std::int32_t rv : r) w.i32(rv);
-  return w.take();
-}
-
-PeriodProgress PeriodProgress::decode(std::string_view bytes) {
-  BinReader rd(bytes);
-  PeriodProgress p;
-  p.lo = std::bit_cast<double>(rd.u64());
-  p.hi = std::bit_cast<double>(rd.u64());
-  p.period = std::bit_cast<double>(rd.u64());
-  const std::uint32_t n = rd.u32();
-  p.r.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.r[i] = rd.i32();
-  if (!rd.done())
-    throw ParseError("period progress: trailing bytes past the snapshot");
-  return p;
-}
 
 MinPeriodRetimer::MinPeriodRetimer(const RetimingGraph& g, Options options)
     : g_(&g), opt_(options) {}
@@ -112,31 +84,6 @@ MinPeriodRetimer::Result MinPeriodRetimer::minimize() const {
   }
   Result best{hi, zero, StopReason::kNone, {}};
   if (auto r = retime_for_period(hi, zero)) best.r = std::move(*r);
-  return search(lo, hi, std::move(best));
-}
-
-MinPeriodRetimer::Result MinPeriodRetimer::resume(
-    const PeriodProgress& progress) const {
-  SERELIN_SPAN("solver/minperiod");
-  SERELIN_REQUIRE(progress.r.size() == g_->vertex_count(),
-                  "period progress snapshot is for a different graph");
-  SERELIN_REQUIRE(g_->valid(progress.r),
-                  "period progress carries an invalid retiming");
-  return search(progress.lo, progress.hi,
-                Result{progress.period, progress.r, StopReason::kNone, {}});
-}
-
-MinPeriodRetimer::Result MinPeriodRetimer::search(double lo, double hi,
-                                                  Result best) const {
-  const Retiming zero = g_->zero_retiming();
-  const auto snapshot = [&](CheckpointImage& image) {
-    PeriodProgress p;
-    p.lo = lo;
-    p.hi = hi;
-    p.period = best.period;
-    p.r = best.r;
-    image.sections.emplace_back("minperiod", p.encode());
-  };
   for (;;) {
     // Checked before the convergence test: an already-expired deadline
     // must surface as a Partial result even when the search interval is
@@ -148,7 +95,6 @@ MinPeriodRetimer::Result MinPeriodRetimer::search(double lo, double hi,
                          " during min-period binary search; best feasible "
                          "period " +
                          std::to_string(best.period);
-      if (opt_.checkpoint.enabled()) opt_.checkpoint.force(snapshot);
       return best;
     }
     if (hi - lo <= opt_.tolerance) return best;
@@ -159,7 +105,6 @@ MinPeriodRetimer::Result MinPeriodRetimer::search(double lo, double hi,
     } else {
       lo = mid;
     }
-    if (opt_.checkpoint.enabled()) opt_.checkpoint.offer(snapshot);
   }
 }
 

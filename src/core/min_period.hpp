@@ -13,29 +13,12 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "rgraph/retiming_graph.hpp"
-#include "support/checkpoint.hpp"
 #include "support/deadline.hpp"
 #include "timing/params.hpp"
 
 namespace serelin {
-
-/// Mid-search state of MinPeriodRetimer::minimize(), serialized into the
-/// "minperiod" section of a checkpoint: the binary-search interval plus the
-/// best feasible retiming found so far. The search is deterministic from
-/// this state, so a resume reaches the bit-identical final result.
-struct PeriodProgress {
-  double lo = 0.0;
-  double hi = 0.0;
-  double period = 0.0;  ///< best feasible period (achieved by `r`)
-  Retiming r;
-
-  std::string encode() const;
-  /// Throws serelin::ParseError on truncated/garbled bytes.
-  static PeriodProgress decode(std::string_view bytes);
-};
 
 class MinPeriodRetimer {
  public:
@@ -51,9 +34,6 @@ class MinPeriodRetimer {
     /// (stop_reason set); a FEAS probe interrupted mid-run counts as
     /// infeasible for its probe period, never as an illegal retiming.
     Deadline deadline;
-    /// Durable snapshots of the binary-search state, offered after every
-    /// bisection step and forced on an early stop (docs/ROBUSTNESS.md §11).
-    CheckpointSink checkpoint;
   };
 
   MinPeriodRetimer(const RetimingGraph& g, Options options);
@@ -79,14 +59,7 @@ class MinPeriodRetimer {
   /// Minimal-period retiming (within tolerance).
   Result minimize() const;
 
-  /// Continues an interrupted minimize() from a PeriodProgress snapshot;
-  /// the result is bit-identical to the uninterrupted run's.
-  Result resume(const PeriodProgress& progress) const;
-
  private:
-  Result search(double lo, double hi, Result best) const;
-
-
   const RetimingGraph* g_;
   Options opt_;
 };

@@ -1,6 +1,5 @@
 #include "core/solver.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +12,13 @@
 #include "timing/graph_timing.hpp"
 
 namespace serelin {
+
+namespace {
+/// Active constraints folded into the forest per timing pass. Batching
+/// amortizes the label recomputation; 1 would reproduce the strictly
+/// sequential Algorithm-1 schedule.
+constexpr std::size_t kViolationBatch = 256;
+}  // namespace
 
 std::string SolverProgress::encode() const {
   BinWriter w;
@@ -113,11 +119,9 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
                                std::vector<char>& frozen,
                                RegularForest& forest,
                                int& pass_commits) const {
+  // Livelock safety budget on inner iterations.
   const std::int64_t cap =
-      opt_.max_iterations > 0
-          ? opt_.max_iterations
-          : 4096 + 64 * static_cast<std::int64_t>(g_->vertex_count());
-  const std::size_t batch = std::max<std::size_t>(1, opt_.violation_batch);
+      4096 + 64 * static_cast<std::int64_t>(g_->vertex_count());
 
   std::vector<char> movers(g_->vertex_count(), 0);
   std::string trail;  // recent violations, reported on budget exhaustion
@@ -157,7 +161,7 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     // (see TimingDelta), but O(cone) instead of O(|V|+|E|) per iteration.
     const TimingDelta& delta = timing.update(out.r, candidate);
     const auto viols =
-        checker.find_violations(out.r, timing, delta, movers, batch);
+        checker.find_violations(out.r, timing, delta, movers, kViolationBatch);
 
     if (viols.empty()) {
       // Feasible: commit. The positive set has positive weighted gain by

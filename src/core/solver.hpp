@@ -54,20 +54,14 @@ struct SolverOptions {
   TimingParams timing;
   double rmin = 0.0;       ///< R_min for P2' (ignored if !enforce_elw)
   bool enforce_elw = true;  ///< false => Efficient MinObs baseline
-  /// Inner-iteration safety budget; 0 = auto (quadratic in |V|).
-  std::int64_t max_iterations = 0;
-  /// Active constraints folded into the forest per timing pass. Batching
-  /// amortizes the O(|V|+|E|) label recomputation; 1 reproduces the
-  /// strictly sequential Algorithm-1 schedule.
-  std::size_t violation_batch = 256;
   /// Wall-clock / cancellation budget. Solvers poll it between feasible
   /// checkpoints; on expiry they return the best feasible retiming found
   /// so far with stop_reason set (a Partial result), never an illegal one.
   Deadline deadline;
-  /// Durable progress snapshots (docs/ROBUSTNESS.md §11), threaded exactly
-  /// like the deadline: default-disabled, offered at every commit (a
-  /// feasible state), forced on an early stop. A SIGKILLed solve resumes
-  /// from the last snapshot and reaches the bit-identical final result.
+  /// MinObsWinSolver's durable progress snapshots (docs/ROBUSTNESS.md §11):
+  /// default-disabled, offered at every commit (a feasible state), forced
+  /// on an early stop. A SIGKILLed solve resumes from the last snapshot and
+  /// reaches the bit-identical final result. ClosureSolver ignores it.
   CheckpointSink checkpoint;
 };
 

@@ -7,7 +7,7 @@
 //
 //   "SRLCKPT\n"  8-byte magic
 //   u32          format version (kCheckpointVersion)
-//   str          kind ("pipeline", "closure", ...)
+//   str          kind ("pipeline")
 //   u64          fingerprint — hash of the inputs the snapshot is only
 //                valid for (circuit + solver options); a resume against a
 //                different input is rejected, never silently wrong
@@ -20,10 +20,10 @@
 // little-endian so a checkpoint is bit-stable across platforms — the
 // resumed-equals-fresh contract is checked bitwise.
 //
-// CheckpointSink is threaded through solver options exactly like Deadline:
-// a cheap value type, default-disabled, copies sharing one rate-limit
-// counter. Solvers offer() a snapshot at every safe point (a committed,
-// feasible state); the sink persists every `every`-th offer plus the
+// CheckpointSink rides in SolverOptions next to the Deadline: a cheap
+// value type, default-disabled, copies sharing one rate-limit counter.
+// MinObsWin offer()s a snapshot at every safe point (a committed, feasible
+// state); the sink persists every `every`-th offer plus the
 // first, deterministically — never on a wall-clock cadence, so a fixed
 // seed reproduces the exact same sequence of on-disk snapshots.
 #pragma once

@@ -101,20 +101,25 @@ class ConstraintChecker {
                                          std::span<const char> movers,
                                          std::size_t max_count) const;
 
-  /// Individual predicates (full scans; used by tests and the initializer).
-  bool p0_holds(const Retiming& r) const;
-  bool p1_holds(const GraphTiming& t) const;
-  bool p2_holds(const Retiming& r, const GraphTiming& t) const;
-
   /// Convenience: recomputes `t` for `r` and checks all three.
   bool feasible(const Retiming& r, GraphTiming& t) const;
 
  private:
-  std::optional<Violation> find_p2(const Retiming& r, const GraphTiming& t,
-                                   std::span<const char> movers) const;
-  std::optional<Violation> find_p0(const Retiming& r) const;
-  std::optional<Violation> find_p1(const GraphTiming& t,
-                                   std::span<const char> movers) const;
+  /// The violation of each predicate at one edge or vertex, if any.
+  std::optional<Violation> p0_at(const Retiming& r, EdgeId e) const;
+  std::optional<Violation> p2_at(const Retiming& r, const GraphTiming& t,
+                                 EdgeId e, std::span<const char> movers) const;
+  std::optional<Violation> p1_at(const GraphTiming& t, VertexId v) const;
+
+  /// The batch scan behind both find_violations forms: P0 over `p0_edges`
+  /// (a non-empty P0 batch is returned alone), then P2' over `p2_edges`
+  /// and P1' over `p1_vertices`, each list in ascending order.
+  template <class Ids>
+  std::vector<Violation> scan(const Retiming& r, const GraphTiming& t,
+                              const Ids& p0_edges, const Ids& p2_edges,
+                              const Ids& p1_vertices,
+                              std::span<const char> movers,
+                              std::size_t max_count) const;
 
   const RetimingGraph* g_;
   TimingParams params_;

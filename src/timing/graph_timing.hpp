@@ -105,10 +105,6 @@ class GraphTiming {
   /// rt(v) that carries registers (or reaches a primary-output sink).
   EdgeId crit_min_edge(VertexId v) const { return crit_min_edge_[v]; }
 
-  /// Topological order of the w_r = 0 subgraph from the last full
-  /// compute() (incremental update() does not maintain it).
-  const std::vector<VertexId>& topo_order() const { return topo_; }
-
  private:
   void topo_sort(const Retiming& r);
   /// Recomputes arrival(v) from its (already final) w_r = 0 fanins.

@@ -228,6 +228,21 @@ TEST_P(IncrementalSeeds, DirtyViolationScanMatchesFullScan) {
       EXPECT_EQ(dirty[i].p, full[i].p) << "step " << step;
       EXPECT_EQ(dirty[i].q, full[i].q) << "step " << step;
       EXPECT_EQ(dirty[i].w, full[i].w) << "step " << step;
+      EXPECT_EQ(dirty[i].alt_q, full[i].alt_q) << "step " << step;
+      EXPECT_EQ(dirty[i].alt_w, full[i].alt_w) << "step " << step;
+    }
+    // Without movers every violation is attributable, so the single form
+    // and a one-entry batch must name the same violation.
+    const auto single = checker.find_violation(cand, t);
+    const auto first = checker.find_violations(cand, t, {}, 1);
+    ASSERT_EQ(single.has_value(), !first.empty()) << "step " << step;
+    if (single) {
+      EXPECT_EQ(single->kind, first[0].kind) << "step " << step;
+      EXPECT_EQ(single->p, first[0].p) << "step " << step;
+      EXPECT_EQ(single->q, first[0].q) << "step " << step;
+      EXPECT_EQ(single->w, first[0].w) << "step " << step;
+      EXPECT_EQ(single->alt_q, first[0].alt_q) << "step " << step;
+      EXPECT_EQ(single->alt_w, first[0].alt_w) << "step " << step;
     }
 
     if (full.empty()) {

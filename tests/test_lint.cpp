@@ -35,14 +35,14 @@ std::string corpus(const std::string& sub) {
 }
 
 constexpr const char* kAllRules[] = {
-    "no-unseeded-random",   "no-wallclock",
+    "no-unseeded-random",     "no-wallclock",
     "no-unordered-range-for", "wd-dense-gated",
     "no-bare-artifact-write", "diag-code-name",
-    "diag-code-documented", "exit-code-registry",
-    "trace-macro-pure",     "header-self-sufficient",
-    "lock-order-cycle",     "deadline-poll-coverage",
-    "checkpoint-section-pairing", "counter-registry",
-    "protocol-schema",      "unused-nolint",
+    "diag-code-documented",   "exit-code-registry",
+    "trace-macro-pure",       "lock-order-cycle",
+    "deadline-poll-coverage", "checkpoint-section-pairing",
+    "counter-registry",       "protocol-schema",
+    "unused-nolint",
 };
 
 }  // namespace
@@ -73,7 +73,7 @@ TEST(LintCorpus, EachLexicalRuleFiresExactlyWhereExpected) {
       {"trace-macro-pure", "src/sample.cpp:6"},
   };
   for (const Case& c : cases) {
-    const LintRun bad = run_lint("--no-compile-checks --root " +
+    const LintRun bad = run_lint("--root " +
                                  corpus(std::string(c.rule) + "/bad"));
     EXPECT_EQ(bad.code, 1) << c.rule << " bad fixture:\n" << bad.out;
     EXPECT_NE(bad.out.find(std::string(c.anchor) + ": serelin-" + c.rule +
@@ -84,7 +84,7 @@ TEST(LintCorpus, EachLexicalRuleFiresExactlyWhereExpected) {
         << c.rule << " bad fixture must yield exactly one finding:\n"
         << bad.out;
 
-    const LintRun good = run_lint("--no-compile-checks --root " +
+    const LintRun good = run_lint("--root " +
                                   corpus(std::string(c.rule) + "/good"));
     EXPECT_EQ(good.code, 0) << c.rule << " good fixture:\n" << good.out;
     EXPECT_NE(good.out.find("0 finding(s)"), std::string::npos);
@@ -108,7 +108,7 @@ TEST(LintCorpus, EachContractPassFiresExactlyWhereExpected) {
       {"unused-nolint", "src/sample.cpp:6"},
   };
   for (const Case& c : cases) {
-    const LintRun bad = run_lint("--no-compile-checks --root " +
+    const LintRun bad = run_lint("--root " +
                                  corpus(std::string(c.rule) + "/bad"));
     EXPECT_EQ(bad.code, 1) << c.rule << " bad fixture:\n" << bad.out;
     EXPECT_NE(bad.out.find(std::string(c.anchor) + ": serelin-" + c.rule +
@@ -119,7 +119,7 @@ TEST(LintCorpus, EachContractPassFiresExactlyWhereExpected) {
         << c.rule << " bad fixture must yield exactly one finding:\n"
         << bad.out;
 
-    const LintRun good = run_lint("--no-compile-checks --root " +
+    const LintRun good = run_lint("--root " +
                                   corpus(std::string(c.rule) + "/good"));
     EXPECT_EQ(good.code, 0) << c.rule << " good fixture:\n" << good.out;
     EXPECT_NE(good.out.find("0 finding(s)"), std::string::npos);
@@ -130,7 +130,7 @@ TEST(LintCorpus, EachContractPassFiresExactlyWhereExpected) {
 // actionable without re-running anything.
 TEST(LintCorpus, LockOrderCycleReportNamesBothEdges) {
   const LintRun bad =
-      run_lint("--no-compile-checks --root " + corpus("lock-order-cycle/bad"));
+      run_lint("--root " + corpus("lock-order-cycle/bad"));
   EXPECT_NE(bad.out.find("src/sample.cpp:10"), std::string::npos) << bad.out;
   EXPECT_NE(bad.out.find("src/sample.cpp:15"), std::string::npos) << bad.out;
   EXPECT_NE(bad.out.find("g_a"), std::string::npos) << bad.out;
@@ -141,33 +141,19 @@ TEST(LintCorpus, OnlyFilterRestrictsReportingToNamedFiles) {
   // The violation is in src/sample.cpp; asking only about another file
   // reports nothing (but analysis still ran whole-tree).
   const LintRun miss =
-      run_lint("--no-compile-checks --only src/other.cpp --root " +
+      run_lint("--only src/other.cpp --root " +
                corpus("no-unseeded-random/bad"));
   EXPECT_EQ(miss.code, 0) << miss.out;
   const LintRun hit =
-      run_lint("--no-compile-checks --only src/sample.cpp --root " +
+      run_lint("--only src/sample.cpp --root " +
                corpus("no-unseeded-random/bad"));
   EXPECT_EQ(hit.code, 1) << hit.out;
   EXPECT_NE(hit.out.find("src/sample.cpp:5"), std::string::npos) << hit.out;
 }
 
-TEST(LintCorpus, HeaderSelfSufficiencyCompileCheck) {
-  const std::string cxx = std::string(" --cxx \"") + SERELIN_CXX + "\"";
-  const LintRun bad =
-      run_lint("--root " + corpus("header-self-sufficient/bad") + cxx);
-  EXPECT_EQ(bad.code, 1) << bad.out;
-  EXPECT_NE(bad.out.find("src/sample.hpp:1: serelin-header-self-sufficient"),
-            std::string::npos)
-      << bad.out;
-
-  const LintRun good =
-      run_lint("--root " + corpus("header-self-sufficient/good") + cxx);
-  EXPECT_EQ(good.code, 0) << good.out;
-}
-
 TEST(LintCorpus, NolintSuppressesOnlyTheNamedRule) {
   const LintRun run =
-      run_lint("--no-compile-checks --root " + corpus("nolint"));
+      run_lint("--root " + corpus("nolint"));
   EXPECT_EQ(run.code, 1) << run.out;
   // Lines 6 (named rule) and 7 (bare NOLINT) are suppressed; line 8 names
   // a different rule, so its finding survives — and because that marker
@@ -185,7 +171,7 @@ TEST(LintCorpus, NolintSuppressesOnlyTheNamedRule) {
 
 TEST(LintCorpus, RuleFilterRestrictsTheRun) {
   const LintRun run =
-      run_lint("--no-compile-checks --rule serelin-no-wallclock --root " +
+      run_lint("--rule serelin-no-wallclock --root " +
                corpus("no-unseeded-random/bad"));
   EXPECT_EQ(run.code, 0) << run.out;  // the only violation is filtered out
 }
@@ -196,11 +182,9 @@ TEST(LintCorpus, UsageErrorsExit64) {
   EXPECT_EQ(run_lint("--root /nonexistent-serelin-root").code, 64);
 }
 
-// The acceptance gate: the shipped tree has zero findings. Compile checks
-// are skipped here: the build itself compiles every src/ header on its own
-// (serelin_header_check in src/CMakeLists.txt).
+// The acceptance gate: the shipped tree has zero findings.
 TEST(LintTree, RealTreeIsCleanUnderAllLexicalRules) {
-  const LintRun run = run_lint(std::string("--no-compile-checks --root ") +
+  const LintRun run = run_lint(std::string("--root ") +
                                SERELIN_REPO_ROOT);
   EXPECT_EQ(run.code, 0) << run.out;
   EXPECT_NE(run.out.find("0 finding(s)"), std::string::npos) << run.out;

@@ -1,6 +1,7 @@
 // Contract tests of the shipped command-line tools, run as subprocesses
 // with the flags scripts and CI use: `serelin_cli retime` goes through the
-// solver pipeline for every --algorithm and both netlist formats,
+// solver pipeline for every --algorithm and both netlist formats and
+// writes a trace, metrics file and journal the strict parser accepts,
 // `bench_report` writes a report the strict protocol parser accepts and
 // rejects unknown kernel names, and `serelin_campaign` runs every property
 // campaign clean, replays the committed corpora, and maps failures onto
@@ -41,6 +42,12 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 int campaign(const std::string& args) {
   return run(std::string(SERELIN_CAMPAIGN_BIN) + " " + args);
 }
@@ -51,19 +58,35 @@ TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
       const std::string stem = temp_path("cli-" + algorithm + "-" + circuit);
       const std::string journal = stem + ".jsonl";
       const std::string checkpoint = stem + ".ckpt";
-      fs::remove(checkpoint);
+      const std::string trace = stem + ".trace.json";
+      const std::string metrics = stem + ".metrics.json";
+      for (const std::string& artifact : {checkpoint, trace, metrics})
+        fs::remove(artifact);
       const std::string out =
           stem + (circuit.ends_with(".blif") ? ".out.blif" : ".out.bench");
       EXPECT_EQ(run(std::string(SERELIN_CLI_BIN) + " retime " +
                     SERELIN_EXAMPLES_DIR + "/" + circuit + " " + out +
                     " --algorithm " + algorithm + " --journal " + journal +
-                    " --checkpoint " + checkpoint),
+                    " --checkpoint " + checkpoint + " --trace " + trace +
+                    " --metrics " + metrics),
                 0)
           << circuit << " --algorithm " << algorithm;
       EXPECT_TRUE(fs::exists(out)) << out;
       EXPECT_TRUE(fs::exists(checkpoint)) << checkpoint;
+      // Every JSON artifact the run wrote is valid under the strict parser.
+      for (const std::string& artifact : {trace, metrics}) {
+        std::string text = slurp(artifact);
+        ASSERT_TRUE(text.ends_with('\n')) << artifact;
+        text.pop_back();
+        const ParseOutcome parsed = parse_object(text);
+        EXPECT_TRUE(parsed.ok) << artifact << ": " << parsed.error;
+      }
       const JournalRecovery rec = read_journal(journal);
       ASSERT_FALSE(rec.records.empty()) << journal;
+      for (const std::string& record : rec.records) {
+        const ParseOutcome parsed = parse_object(record);
+        EXPECT_TRUE(parsed.ok) << record << ": " << parsed.error;
+      }
       const std::string& last = rec.records.back();
       EXPECT_EQ(json_string_field(last, "event"), "result") << last;
       EXPECT_EQ(json_string_field(last, "stage"), algorithm) << last;
@@ -78,9 +101,7 @@ TEST(BenchReport, WritesAReportTheStrictParserAccepts) {
                 " --gates 400 --dffs 100 --threads 1,2 --repeat 1"
                 " --kernels obs_signature,ser_sweep"),
             0);
-  std::ifstream in(path, std::ios::binary);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string text = slurp(path);
   ASSERT_FALSE(text.empty());
   ASSERT_EQ(text.back(), '\n');
   text.pop_back();
@@ -145,9 +166,7 @@ TEST(Campaign, ReplayFailsAnEntryThatContradictsItsSidecar) {
   const std::string name = "div-e054f92bf5760722.bench";
   const fs::path found = fs::path(SERELIN_CORPUS_DIR) / "found";
   fs::copy_file(found / name, fs::path(dir) / name);
-  std::ifstream in(found / (name + ".repro"), std::ios::binary);
-  std::string sidecar((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
+  std::string sidecar = slurp((found / (name + ".repro")).string());
   const std::string divergent = "expect: divergent\n";
   const std::size_t at = sidecar.find(divergent);
   ASSERT_NE(at, std::string::npos) << sidecar;

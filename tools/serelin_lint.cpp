@@ -3,8 +3,7 @@
 // This binary is a thin driver: the analysis substrate (source loading,
 // per-TU structural indexes, cross-TU registries) and every rule pass live
 // in src/analysis/ (docs/STATIC_ANALYSIS.md is the catalogue). The driver
-// owns only the CLI, the one rule that shells out to a compiler
-// (header-self-sufficient), and output formatting.
+// owns only the CLI and output formatting.
 //
 // Scans `src/` and `tools/` below --root (default: the current directory).
 // Cross-TU passes always index the whole tree — `--only FILE` filters
@@ -14,10 +13,7 @@
 // Exit status: 0 clean, 1 findings, 64 usage error, 70 internal error.
 
 #include <algorithm>
-#include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
@@ -34,81 +30,14 @@ using namespace serelin::analysis;
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Rule: header-self-sufficient (kept in the driver: it shells out)
-
-struct CompileChecker {
-  std::string cxx;       // compiler driver; empty disables the rule
-  fs::path include_dir;  // <root>/src
-  fs::path scratch;      // per-process scratch TU
-
-  bool available = false;
-
-  void probe() {
-    if (cxx.empty()) return;
-    // Scratch TU, not an artifact: overwritten every probe, never read
-    // back after a crash.
-    std::ofstream(scratch)  // NOLINT(serelin-no-bare-artifact-write)
-        << "int main() { return 0; }\n";
-    available = run_on(scratch).empty();
-    if (!available)
-      std::cerr << "serelin_lint: note: compiler '" << cxx
-                << "' unavailable; skipping header-self-sufficient\n";
-  }
-
-  /// Empty string on success, first diagnostic line on failure.
-  std::string run_on(const fs::path& tu) const {
-    const fs::path log = scratch.string() + ".log";
-    const std::string cmd = cxx + " -std=c++20 -fsyntax-only -I '" +
-                            include_dir.string() +
-                            "' -DSERELIN_TRACE_ENABLED=1 '" + tu.string() +
-                            "' 2> '" + log.string() + "'";
-    const int rc = std::system(cmd.c_str());
-    if (rc == 0) return {};
-    std::ifstream in(log);
-    std::string line;
-    while (std::getline(in, line))
-      if (line.find("error") != std::string::npos) return line;
-    return "compiler exited with a failure";
-  }
-};
-
-void rule_header_self_sufficient(const SourceFile& f,
-                                 const CompileChecker& checker,
-                                 Reporter& rep) {
-  if (!checker.available) return;
-  if (f.rel.rfind("src/", 0) != 0) return;
-  if (f.rel.size() < 4 || f.rel.compare(f.rel.size() - 4, 4, ".hpp") != 0)
-    return;
-  // NOLINT on line 1 (next to #pragma once or the header comment) opts a
-  // header out, mirroring the per-line suppression of the lexical rules.
-  if (!f.raw.empty() &&
-      nolint_suppressed(f.raw[0], "header-self-sufficient")) {
-    rep.mark_used(f.rel, 1);
-    return;
-  }
-  std::ofstream(checker.scratch)  // NOLINT(serelin-no-bare-artifact-write)
-      << "#include \"" << f.rel.substr(4) << "\"\n"
-      << "int main() { return 0; }\n";
-  const std::string error = checker.run_on(checker.scratch);
-  if (!error.empty())
-    rep.report(f.rel, 1, "header-self-sufficient",
-               "header does not compile standalone: " + error);
-}
-
 int usage(std::ostream& out, int rc) {
-  out << "usage: serelin_lint [--root DIR] [--cxx PATH]"
-         " [--no-compile-checks]\n"
-         "                    [--rule ID]... [--only FILE]..."
+  out << "usage: serelin_lint [--root DIR] [--rule ID]... [--only FILE]..."
          " [--list-rules]\n"
-         "  --root DIR           repository root to scan (default: .)\n"
-         "  --cxx PATH           compiler for header checks (default: $CXX"
-         " or c++)\n"
-         "  --no-compile-checks  skip the header-self-sufficient rule\n"
-         "  --rule ID            report only the listed rule(s)\n"
-         "  --only FILE          report only findings in FILE"
+         "  --root DIR    repository root to scan (default: .)\n"
+         "  --rule ID     report only the listed rule(s)\n"
+         "  --only FILE   report only findings in FILE"
          " (root-relative; repeatable)\n"
-         "  --list-rules         print the rule catalogue and exit\n";
+         "  --list-rules  print the rule catalogue and exit\n";
   return rc;
 }
 
@@ -116,10 +45,6 @@ int usage(std::ostream& out, int rc) {
 
 int main(int argc, char** argv) {
   fs::path root = ".";
-  std::string cxx;
-  if (const char* env = std::getenv("CXX")) cxx = env;
-  if (cxx.empty()) cxx = "c++";
-  bool compile_checks = true;
   std::set<std::string> only_rules;
   std::set<std::string> only_files;
 
@@ -132,10 +57,6 @@ int main(int argc, char** argv) {
       return 0;
     } else if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--cxx" && i + 1 < argc) {
-      cxx = argv[++i];
-    } else if (arg == "--no-compile-checks") {
-      compile_checks = false;
     } else if (arg == "--rule" && i + 1 < argc) {
       std::string id = argv[++i];
       if (id.rfind("serelin-", 0) == 0) id = id.substr(8);
@@ -165,22 +86,6 @@ int main(int argc, char** argv) {
     const TreeIndex tree = build_tree_index(files);
     Reporter rep(files);
 
-    const auto enabled = [&](const char* id) {
-      return only_rules.empty() || only_rules.count(id) > 0;
-    };
-
-    CompileChecker checker;
-    checker.cxx = compile_checks && enabled("header-self-sufficient")
-                      ? cxx
-                      : std::string();
-    checker.include_dir = root / "src";
-    checker.scratch = fs::temp_directory_path() /
-                      ("serelin_lint_tu_" +
-                       std::to_string(static_cast<unsigned long>(
-                           reinterpret_cast<std::uintptr_t>(&checker) >> 4)) +
-                       ".cpp");
-    checker.probe();
-
     // Every pass always runs over the whole tree: --rule and --only filter
     // what is *reported*, and the unused-nolint accounting needs complete
     // suppression coverage to judge markers.
@@ -190,19 +95,17 @@ int main(int argc, char** argv) {
       rule_wd_dense_gated(f, rep);
       rule_bare_artifact_write(f, rep);
       rule_trace_macro_pure(f, rep);
-      rule_header_self_sufficient(f, checker, rep);
     }
     pass_diag_codes(tree, root, rep);
     pass_exit_codes(tree, root, rep);
     pass_counter_registry(tree, root, rep);
     pass_protocol_schema(tree, root, rep);
-    pass_checkpoint_pairing(tree, root, rep);
+    pass_checkpoint_pairing(tree, rep);
     pass_lock_order(tree, rep);
     pass_deadline_poll(tree, rep);
 
     std::set<std::string> ran;
     for (const RuleInfo& r : rule_catalogue()) ran.insert(r.id);
-    if (!checker.available) ran.erase("header-self-sufficient");
     rep.flag_unused_nolints(ran);
 
     std::vector<Finding>& findings = rep.findings();

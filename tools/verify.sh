@@ -29,8 +29,7 @@
 # The static stage (docs/STATIC_ANALYSIS.md) degrades gracefully: the
 # serelin_lint pass always runs, the -Wthread-safety build and clang-tidy
 # run only when clang++/clang-tidy are installed (CI installs both; a
-# gcc-only box still gets the contract analyzer). --fast keeps the
-# analyzer in the loop but skips its per-header compile sweep. Set
+# gcc-only box still gets the contract analyzer). Set
 # SERELIN_TIDY_BASE to a git ref to tidy only the files changed since
 # that ref, and SERELIN_LINT_BASE to restrict the analyzer's *reported*
 # findings to those files (--only; analysis stays whole-tree) — the PR
@@ -44,10 +43,9 @@ SKIP_TSAN=0
 SKIP_ASAN=0
 STAGES=()
 CTEST_ARGS=()
-LINT_ARGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --fast) CTEST_ARGS=(-L fast); LINT_ARGS=(--no-compile-checks) ;;
+    --fast) CTEST_ARGS=(-L fast) ;;
     --skip-static) SKIP_STATIC=1 ;;
     --skip-tsan) SKIP_TSAN=1 ;;
     --skip-asan) SKIP_ASAN=1 ;;
@@ -76,15 +74,14 @@ stage_static() {
   cmake -B build -S . > /dev/null
   cmake --build build -j"$(nproc)" --target serelin_lint
   # 1/3 — the contract analyzer: determinism, registry and flow contracts
-  # over the whole tree, including the header self-sufficiency compile
-  # checks (skipped under --fast). SERELIN_LINT_BASE narrows the *reported*
+  # over the whole tree (header self-sufficiency is a build step, the
+  # serelin_header_check target). SERELIN_LINT_BASE narrows the *reported*
   # findings to a PR's changed files; the analysis itself is always
   # whole-tree, since lock cycles and registry pairings span TUs.
   if [[ "${SERELIN_LINT_SKIP:-0}" == 1 ]]; then
     echo "static: SERELIN_LINT_SKIP=1; analyzer runs in its own CI step" >&2
   else
-    local lint_args=(--root . --cxx "${CXX:-c++}")
-    [[ ${#LINT_ARGS[@]} -gt 0 ]] && lint_args+=("${LINT_ARGS[@]}")
+    local lint_args=(--root .)
     if [[ -n "${SERELIN_LINT_BASE:-}" ]]; then
       local f
       while read -r f; do
