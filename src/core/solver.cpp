@@ -1,5 +1,6 @@
 #include "core/solver.hpp"
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,6 +104,61 @@ void MinObsWinSolver::offer_checkpoint(const SolverResult& out,
     opt_.checkpoint.offer(fill);
 }
 
+/// Folds every P0 implication of the positive set into `forest` (step 1 in
+/// solver.hpp). Moving V_P(F) drains in-edge e = (u, v) of a mover v iff
+/// w(v) − w_r(e) exceeds what u moves alongside; the fold is the active
+/// constraint (v, u, w(v) − w_r(e)), the one the probe's P0 scan would
+/// report. Each round walks a fresh positive set, marked in the all-zero
+/// `marked` scratch (cleared again before returning), and appends every
+/// vertex a fold pulls into a positive tree. A mark that goes stale within
+/// a round only delays a fold to the next round, never changes its weight.
+///
+/// Returns the positive set of the round that folds nothing — the probe's
+/// candidate set — or nullopt when the deadline expired between rounds.
+/// `r` is never written, so run_pass's top-of-loop check then stops at a
+/// feasible state.
+std::optional<std::vector<VertexId>> MinObsWinSolver::close_p0(
+    const Retiming& r, RegularForest& forest, std::vector<char>& marked,
+    std::int64_t cap) const {
+  std::string trail;  // recent folds, reported on budget exhaustion
+  std::int64_t rounds = 0;
+  for (;;) {
+    if (opt_.deadline.expired()) return std::nullopt;
+    SERELIN_ASSERT(rounds < cap,
+                   "MinObsWin P0 closure budget exhausted (livelock?); "
+                   "recent constraints: " +
+                       trail);
+    ++rounds;
+    SERELIN_COUNT(kSolverP0Rounds, 1);
+    std::vector<VertexId> work = forest.positive_set();
+    for (const VertexId v : work) marked[v] = 1;
+    std::int64_t folds = 0;
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const VertexId v = work[i];
+      if (!forest.in_positive_tree(v)) continue;
+      for (const EdgeId e : g_->in_edges(v)) {
+        const VertexId u = g_->edge(e).from;
+        const std::int32_t need = forest.weight(v) - g_->wr(e, r);
+        if (need <= (marked[u] ? forest.weight(u) : 0)) continue;
+        if (rounds + 64 >= cap && folds == 0) {
+          trail += " [p" + std::to_string(v) + ",q" + std::to_string(u) +
+                   ",w" + std::to_string(need) + "]";
+        }
+        forest.add_constraint(v, u, need);
+        ++folds;
+        if (!marked[u] && forest.in_positive_tree(u)) {
+          marked[u] = 1;
+          work.push_back(u);
+        }
+        if (!forest.in_positive_tree(v)) break;
+      }
+    }
+    for (const VertexId v : work) marked[v] = 0;
+    SERELIN_COUNT(kSolverP0Folds, folds);
+    if (folds == 0) return work;
+  }
+}
+
 /// One run of the Algorithm-1 loop over `forest` (fresh from solve(), or a
 /// restored mid-pass forest from resume()). `pass_commits` counts this
 /// pass's commits; r, gain and iteration counters accumulate in `out`.
@@ -119,7 +175,7 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
                                std::vector<char>& frozen,
                                RegularForest& forest,
                                int& pass_commits) const {
-  // Livelock safety budget on inner iterations.
+  // Livelock safety budget on timing probes (and on closure rounds).
   const std::int64_t cap =
       4096 + 64 * static_cast<std::int64_t>(g_->vertex_count());
 
@@ -141,7 +197,10 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
       offer_checkpoint(out, avoid_q, forest, pass_commits, /*force=*/true);
       break;
     }
-    const std::vector<VertexId> candidate = forest.positive_set();
+    const std::optional<std::vector<VertexId>> closed =
+        close_p0(out.r, forest, movers, cap);
+    if (!closed) continue;  // deadline hit mid-closure: stop just above
+    const std::vector<VertexId>& candidate = *closed;
     if (candidate.empty()) break;  // no improving closed set remains
     SERELIN_ASSERT(out.iterations < cap,
                    "MinObsWin iteration budget exhausted (livelock?); "
@@ -160,6 +219,8 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     // dirty edges/vertices — bit-identical to a full recompute + full scan
     // (see TimingDelta), but O(cone) instead of O(|V|+|E|) per iteration.
     const TimingDelta& delta = timing.update(out.r, candidate);
+    SERELIN_ASSERT(!delta.p0_dirty,
+                   "a P0-closed tentative move drained an edge");
     const auto viols =
         checker.find_violations(out.r, timing, delta, movers, kViolationBatch);
 
@@ -200,8 +261,7 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     }
     // Roll the labels back to the (feasible) pre-move state, so the next
     // iteration's delta is measured against a violation-free baseline —
-    // the invariant the dirty-set scan above relies on. After a p0_dirty
-    // step the labels never moved and this is a cheap no-op diff.
+    // the invariant the dirty-set scan above relies on.
     timing.update(out.r, candidate);
     for (std::size_t i = 0; i < viols.size(); ++i) {
       const Violation& viol = viols[i];

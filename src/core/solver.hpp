@@ -3,16 +3,20 @@
 // regular forest.
 //
 // The solver iterates:
-//   1. I = V_P(F), the positive set of the forest. Empty I means no
-//      improving feasible move exists: the current retiming is returned.
+//   1. P0 closure: fold every P0 implication of I = V_P(F), the positive
+//      set of the forest, into the forest — an in-edge (u, v) of a mover v
+//      that moving I would drain forces u to move with v. This is edge-
+//      weight arithmetic (no timing labels), repeated over a fresh positive
+//      set until a round folds nothing. Empty I then means no improving
+//      feasible move exists: the current retiming is returned.
 //   2. Tentatively decrease r(v) by w(v) for every v in I.
-//   3. Search for a violation of P0 / P1' / P2' whose dependency source p
-//      lies in I (the mover that caused it). If one exists, revert the
-//      tentative move and fold the paper's active constraint (p, q, w)
-//      into the forest: q must move with p, with weight w on top of
-//      whatever q already moved (BreakTree + weight update when q's
-//      previously assumed weight was wrong, blocking when q is a boundary
-//      vertex). Loop to 1.
+//   3. Relabel timing and search for P1' / P2' violations whose dependency
+//      source p lies in I (the mover that caused them); the closure leaves
+//      no P0 violation to find. If one exists, revert the tentative move
+//      and fold the paper's active constraint (p, q, w) of each into the
+//      forest: q must move with p, with weight w on top of whatever q
+//      already moved (BreakTree + weight update when q's previously assumed
+//      weight was wrong, blocking when q is a boundary vertex). Loop to 1.
 //   4. No violation: commit the move (one paper-iteration "#J") and loop.
 //
 // A P2' violation admits two monotone resolutions (push the boundary
@@ -37,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -68,7 +73,7 @@ struct SolverOptions {
 struct SolverResult {
   Retiming r;                    ///< final (feasible) retiming
   int commits = 0;               ///< the paper's iteration count #J
-  std::int64_t iterations = 0;   ///< inner loop iterations
+  std::int64_t iterations = 0;   ///< timing probes (tentative moves)
   std::int64_t objective_gain = 0;  ///< K-scaled drop of Eq. (5)
   bool exited_early = false;  ///< initial retiming already infeasible; it
                               ///< was returned unchanged (paper's b18/b19)
@@ -117,6 +122,10 @@ class MinObsWinSolver {
   SolverResult resume(const SolverProgress& progress) const;
 
  private:
+  std::optional<std::vector<VertexId>> close_p0(const Retiming& r,
+                                                class RegularForest& forest,
+                                                std::vector<char>& marked,
+                                                std::int64_t cap) const;
   void run_pass(const class ConstraintChecker& checker,
                 class GraphTiming& timing, SolverResult& out,
                 const std::vector<char>& avoid_q, std::vector<char>& frozen,

@@ -16,6 +16,8 @@ const char* counter_name(Counter c) {
     case Counter::kTimingPasses: return "timing-passes";
     case Counter::kSolverIterations: return "solver-iterations";
     case Counter::kSolverCommits: return "solver-commits";
+    case Counter::kSolverP0Rounds: return "solver-p0-rounds";
+    case Counter::kSolverP0Folds: return "solver-p0-folds";
     case Counter::kForestConstraints: return "forest-constraints";
     case Counter::kForestBreaks: return "forest-breaks";
     case Counter::kForestCuts: return "forest-cuts";

@@ -41,8 +41,10 @@ enum class Counter : std::uint16_t {
   kLpRelaxations,    ///< Bellman–Ford relaxations in the retiming LP
   kFeasPasses,       ///< FEAS passes of the min-period retimer
   kTimingPasses,     ///< GraphTiming::compute invocations
-  kSolverIterations, ///< solver inner-loop iterations (forest + closure)
+  kSolverIterations, ///< MinObsWin timing probes + ClosureSolver violations
   kSolverCommits,    ///< committed improving moves
+  kSolverP0Rounds,   ///< MinObsWin P0-closure rounds run
+  kSolverP0Folds,    ///< constraints the P0 closure folds into the forest
   kForestConstraints,///< active constraints folded into the regular forest
   kForestBreaks,     ///< BreakTree rebuilds
   kForestCuts,       ///< irregular-edge cuts during re-regularization

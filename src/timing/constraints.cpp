@@ -109,9 +109,9 @@ std::optional<Violation> ConstraintChecker::find_violation(
 
 template <class Ids>
 std::vector<Violation> ConstraintChecker::scan(
-    const Retiming& r, const GraphTiming& t, const Ids& p0_edges,
-    const Ids& p2_edges, const Ids& p1_vertices,
-    std::span<const char> movers, std::size_t max_count) const {
+    const Retiming& r, const GraphTiming& t, const Ids& p2_edges,
+    const Ids& p1_vertices, std::span<const char> movers,
+    std::size_t max_count) const {
   std::vector<Violation> out;
   std::vector<char> taken(g_->vertex_count(), 0);
   const auto push = [&](const Violation& v) {
@@ -127,12 +127,6 @@ std::vector<Violation> ConstraintChecker::scan(
     else if (!fallback) fallback = v;
   };
 
-  // P0 first; with negative edge weights the timing labels are junk.
-  for (const EdgeId e : p0_edges) {
-    if (out.size() >= max_count) break;
-    if (auto v = p0_at(r, e)) push(*v);
-  }
-  if (!out.empty()) return out;
   if (rmin_ > 0.0)
     for (const EdgeId e : p2_edges) {
       if (out.size() >= max_count) break;
@@ -149,22 +143,14 @@ std::vector<Violation> ConstraintChecker::scan(
 std::vector<Violation> ConstraintChecker::find_violations(
     const Retiming& r, const GraphTiming& t, std::span<const char> movers,
     std::size_t max_count) const {
-  const auto edges = all_ids(g_->edge_count());
-  return scan(r, t, edges, edges, all_ids(g_->vertex_count()), movers,
-              max_count);
+  return scan(r, t, all_ids(g_->edge_count()), all_ids(g_->vertex_count()),
+              movers, max_count);
 }
 
 std::vector<Violation> ConstraintChecker::find_violations(
     const Retiming& r, const GraphTiming& t, const TimingDelta& delta,
     std::span<const char> movers, std::size_t max_count) const {
   if (delta.full) return find_violations(r, t, movers, max_count);
-  using Ids = std::span<const EdgeId>;
-  // Timing labels were not updated (and are not read here). The labeled
-  // state is valid, so every negative edge is in wr_changed; scanning it
-  // ascending reproduces the full P0 scan exactly.
-  if (delta.p0_dirty)
-    return scan<Ids>(r, t, delta.wr_changed, {}, {}, movers, max_count);
-
   // P2' candidates: a fresh violation needs a changed register count or a
   // changed head label (min_after / crit_min_edge / rt of e.to), so the
   // union of wr_changed and the in-edges of relabeled vertices covers
@@ -180,7 +166,8 @@ std::vector<Violation> ConstraintChecker::find_violations(
   }
   // P1' candidates: a fresh violation needs a changed max_after, so the
   // relabeled set (already ascending) covers every violating vertex.
-  return scan<Ids>(r, t, {}, edges, delta.relabeled, movers, max_count);
+  return scan<std::span<const EdgeId>>(r, t, edges, delta.relabeled, movers,
+                                       max_count);
 }
 
 bool ConstraintChecker::feasible(const Retiming& r, GraphTiming& t) const {

@@ -74,13 +74,14 @@ class ConstraintChecker {
       const Retiming& r, const GraphTiming& t,
       std::span<const char> movers = {}) const;
 
-  /// Batch form: collects up to `max_count` violations with pairwise
-  /// distinct q, so a solver can fold many active constraints into the
-  /// forest per timing recomputation (one tentative move typically breaks
-  /// many constraints at once; processing them one-per-recompute would
-  /// cost a full O(|V|+|E|) pass each). When P0 is violated the batch
-  /// contains only P0 entries — path labels are meaningless beside
-  /// negative edge weights.
+  /// Batch form: collects up to `max_count` P2'/P1' violations with
+  /// pairwise distinct q, so a solver can fold many active constraints
+  /// into the forest per timing recomputation (one tentative move
+  /// typically breaks many constraints at once; processing them
+  /// one-per-recompute would cost a full O(|V|+|E|) pass each). Requires a
+  /// P0-valid `r` (g.valid(r)) and does not scan P0: path labels are
+  /// meaningless beside negative edge weights, so a batching solver closes
+  /// P0 before it probes (see MinObsWinSolver).
   std::vector<Violation> find_violations(const Retiming& r,
                                          const GraphTiming& t,
                                          std::span<const char> movers,
@@ -93,8 +94,8 @@ class ConstraintChecker {
   /// edge or a relabeled vertex, and because candidates are scanned in the
   /// same ascending order as the full scan, the returned batch (including
   /// the mover-attribution fallback) is identical to the full-scan batch.
-  /// delta.full falls back to the full scan; delta.p0_dirty yields the
-  /// P0-only batch without touching timing labels.
+  /// Requires a P0-valid `r` like the full form, so `delta.p0_dirty` is
+  /// never set; delta.full falls back to the full scan.
   std::vector<Violation> find_violations(const Retiming& r,
                                          const GraphTiming& t,
                                          const TimingDelta& delta,
@@ -111,13 +112,11 @@ class ConstraintChecker {
                                  EdgeId e, std::span<const char> movers) const;
   std::optional<Violation> p1_at(const GraphTiming& t, VertexId v) const;
 
-  /// The batch scan behind both find_violations forms: P0 over `p0_edges`
-  /// (a non-empty P0 batch is returned alone), then P2' over `p2_edges`
-  /// and P1' over `p1_vertices`, each list in ascending order.
+  /// The batch scan behind both find_violations forms: P2' over
+  /// `p2_edges`, then P1' over `p1_vertices`, each list in ascending order.
   template <class Ids>
   std::vector<Violation> scan(const Retiming& r, const GraphTiming& t,
-                              const Ids& p0_edges, const Ids& p2_edges,
-                              const Ids& p1_vertices,
+                              const Ids& p2_edges, const Ids& p1_vertices,
                               std::span<const char> movers,
                               std::size_t max_count) const;
 

@@ -154,7 +154,9 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
 
   // 2. Edges whose w_r changed. The labeled state is valid (w_r >= 0
   // everywhere), so any negative edge of `r` is necessarily in this set —
-  // the P0 probe rides along for free.
+  // the P0 probe rides along for free. (MinObsWin closes P0 before it
+  // moves; of the solvers only the closure solver's bundle grower still
+  // probes P0-invalid candidates here.)
   bool negative = false;
   ++epoch_;
   for (VertexId v : changed_) {

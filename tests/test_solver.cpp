@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
 #include "core/solver.hpp"
@@ -7,6 +10,7 @@
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
 #include "sim/graph_sim.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 
 namespace serelin {
@@ -169,6 +173,69 @@ TEST(Solver, MinObsBaselineNeverWorseThanWin) {
     EXPECT_GE(ref.objective_gain, win.objective_gain) << "seed " << seed;
   }
 }
+
+// Registers fa and fb sit behind k-buffer chains a1..ak and b1..bk that
+// meet at g = AND(ak, bk); h = AND(g, m) drives the PO. Carrying both
+// registers across g means first carrying each across its whole chain:
+// k P0 implications per side, every one through a register-free edge (the
+// forward latch chains of retiming test suites). Hand-set gains make the
+// whole move worth 10 − 2k, so it pays for k <= 4 and not beyond.
+Netlist p0_chain_circuit(int k) {
+  NetlistBuilder nb("p0_chain");
+  nb.input("x");
+  nb.input("y");
+  nb.input("m");
+  nb.dff("fa", "x");
+  nb.dff("fb", "y");
+  std::string a = "fa";
+  std::string b = "fb";
+  for (int i = 1; i <= k; ++i) {
+    nb.gate("a" + std::to_string(i), CellType::kBuf, {a});
+    nb.gate("b" + std::to_string(i), CellType::kBuf, {b});
+    a = "a" + std::to_string(i);
+    b = "b" + std::to_string(i);
+  }
+  nb.gate("g", CellType::kAnd, {a, b});
+  nb.gate("h", CellType::kAnd, {"g", "m"});
+  nb.output("h");
+  return nb.build();
+}
+
+class SolverP0Chain : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverP0Chain, OneProbePerCommitAndClosureSolverAgrees) {
+  const int k = GetParam();
+  const Netlist nl = p0_chain_circuit(k);
+  CellLibrary lib;
+  RetimingGraph g(nl, lib);
+  ObsGains gains;  // the solvers read only b(v)
+  gains.gain.assign(g.vertex_count(), 0);
+  gains.gain[g.vertex_of(nl.find("g"))] = 10;
+  for (int i = 1; i <= k; ++i) {
+    gains.gain[g.vertex_of(nl.find("a" + std::to_string(i)))] = -1;
+    gains.gain[g.vertex_of(nl.find("b" + std::to_string(i)))] = -1;
+  }
+  SolverOptions opt;
+  opt.timing = {40.0, 0.0, 2.0};
+  opt.rmin = 1.0;
+  const Retiming r0 = g.zero_retiming();
+  const MetricsSnapshot before = metrics_snapshot();
+  const SolverResult res = MinObsWinSolver(g, gains, opt).solve(r0);
+  const MetricsSnapshot work = metrics_snapshot() - before;
+  ASSERT_FALSE(res.exited_early);
+  // The P0 closure carries both registers down their chains before the
+  // first tentative move, so every timing probe commits.
+  EXPECT_EQ(res.iterations, res.commits);
+  EXPECT_EQ(res.commits, k <= 4 ? 1 : 0);
+  EXPECT_EQ(res.objective_gain, std::max(0, 10 - 2 * k));
+  if (metrics_compiled_in()) {
+    EXPECT_EQ(work[Counter::kSolverIterations], res.iterations);
+    EXPECT_GE(work[Counter::kSolverP0Folds], 2 * k);  // one per chain edge
+  }
+  EXPECT_EQ(res.r, ClosureSolver(g, gains, opt).solve(r0).r);
+}
+
+INSTANTIATE_TEST_SUITE_P(ChainLengths, SolverP0Chain, ::testing::Range(1, 7));
 
 class SolverProperty : public ::testing::TestWithParam<int> {};
 
