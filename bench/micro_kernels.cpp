@@ -6,7 +6,6 @@
 // (tools/bench_report records the same kernels into BENCH_parallel.json).
 #include <benchmark/benchmark.h>
 
-#include "check/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "interval/interval_set.hpp"
 #include "rgraph/retiming_graph.hpp"
@@ -63,19 +62,6 @@ void BM_ObservabilityRun(benchmark::State& state) {
   }
 }
 
-void BM_WdConstructThreaded(benchmark::State& state) {
-  const Netlist& nl = bench_netlist();
-  static CellLibrary lib;
-  static RetimingGraph g(nl, lib);
-  set_execution_threads(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    WdMatrices wd(g);
-    benchmark::DoNotOptimize(wd.memory_bytes());
-  }
-  set_execution_threads(0);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-
 void BM_ObservabilitySignatureThreaded(benchmark::State& state) {
   const Netlist& nl = bench_netlist();
   SimConfig cfg;
@@ -85,22 +71,7 @@ void BM_ObservabilitySignatureThreaded(benchmark::State& state) {
   set_execution_threads(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     ObservabilityAnalyzer engine(nl, cfg);
-    benchmark::DoNotOptimize(engine.run(ObservabilityAnalyzer::Mode::kSignature));
-  }
-  set_execution_threads(0);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-
-void BM_ObservabilityExactThreaded(benchmark::State& state) {
-  const Netlist& nl = bench_netlist();
-  SimConfig cfg;
-  cfg.patterns = 256;
-  cfg.frames = 2;
-  cfg.warmup = 4;
-  set_execution_threads(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    ObservabilityAnalyzer engine(nl, cfg);
-    benchmark::DoNotOptimize(engine.run(ObservabilityAnalyzer::Mode::kExact));
+    benchmark::DoNotOptimize(engine.run());
   }
   set_execution_threads(0);
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -160,13 +131,7 @@ void BM_IntervalUnion(benchmark::State& state) {
 
 BENCHMARK(BM_SimFrame)->Arg(8)->Arg(32);
 BENCHMARK(BM_ObservabilityRun)->Arg(4)->Arg(15)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WdConstructThreaded)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ObservabilitySignatureThreaded)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_ObservabilityExactThreaded)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_SerSweepThreaded)

@@ -53,11 +53,12 @@ class BundleGrower {
       Retiming cand = r;
       for (VertexId v : members_) cand[v] -= delta_[v];
       // Incremental relabel against whatever state the labels last
-      // described (bit-identical to compute(cand) on valid candidates; on
-      // a P0-invalid candidate the labels stay put and find_violation
+      // described (bit-identical to compute(cand)). update requires a
+      // valid retiming, so a P0-invalid candidate is not relabeled: the
+      // labels keep describing the last valid state, and find_violation
       // reports the P0 violation from its full edge scan, which never
-      // reads path labels).
-      timing_.update(cand);
+      // reads path labels.
+      if (g_.valid(cand)) timing_.update(cand);
       const auto viol = checker_.find_violation(cand, timing_, movers_);
       if (!viol) {
         std::int64_t gain = 0;

@@ -14,13 +14,6 @@
 
 namespace serelin {
 
-namespace {
-/// Active constraints folded into the forest per timing pass. Batching
-/// amortizes the label recomputation; 1 would reproduce the strictly
-/// sequential Algorithm-1 schedule.
-constexpr std::size_t kViolationBatch = 256;
-}  // namespace
-
 std::string SolverProgress::encode() const {
   BinWriter w;
   w.u32(static_cast<std::uint32_t>(r.size()));
@@ -218,11 +211,9 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     // touched, and the returned delta narrows the violation scan to the
     // dirty edges/vertices — bit-identical to a full recompute + full scan
     // (see TimingDelta), but O(cone) instead of O(|V|+|E|) per iteration.
+    // The move is P0-closed, so update's validity precondition holds.
     const TimingDelta& delta = timing.update(out.r, candidate);
-    SERELIN_ASSERT(!delta.p0_dirty,
-                   "a P0-closed tentative move drained an edge");
-    const auto viols =
-        checker.find_violations(out.r, timing, delta, movers, kViolationBatch);
+    const auto viols = checker.find_violations(out.r, timing, delta, movers);
 
     if (viols.empty()) {
       // Feasible: commit. The positive set has positive weighted gain by

@@ -63,7 +63,7 @@ SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
   SERELIN_SPAN("ser/analyze");
   require_period(options);
   return eq4(nl, lib, options,
-             ObservabilityAnalyzer(nl, options.sim).run(options.obs_mode).obs);
+             ObservabilityAnalyzer(nl, options.sim).run().obs);
 }
 
 SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,

@@ -31,7 +31,6 @@ struct SerOptions {
   /// Apply the |ELW|/Φ timing-masking factor of Eq. (4). When false the
   /// analysis reduces to the logic-masking-only model of [17].
   bool timing_masking = true;
-  ObservabilityAnalyzer::Mode obs_mode = ObservabilityAnalyzer::Mode::kSignature;
 };
 
 struct SerReport {
@@ -49,10 +48,10 @@ SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
 
 /// Same, from an observability already simulated for `nl` (NodeId-indexed,
 /// e.g. the run the retiming gains came from) instead of simulating again;
-/// `options.sim` and `options.obs_mode` are unused. Eq. (4) needs only
-/// per-node observability, error rates and windows, so feeding the
-/// ObsResult of ObservabilityAnalyzer(nl, options.sim).run(options.obs_mode)
-/// gives the bit-identical report.
+/// `options.sim` is unused. Eq. (4) needs only per-node observability,
+/// error rates and windows, so feeding the ObsResult of
+/// ObservabilityAnalyzer(nl, options.sim).run() gives the bit-identical
+/// report.
 SerReport analyze_ser(const Netlist& nl, const CellLibrary& lib,
                       const SerOptions& options, std::vector<double> obs);
 

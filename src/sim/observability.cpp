@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <memory>
 
 #include "support/check.hpp"
-#include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/trace.hpp"
 
@@ -21,41 +19,57 @@ double popcount_fraction(std::span<const std::uint64_t> mask, int patterns) {
 
 }  // namespace
 
+void FrameStimulus::load_inputs(int frame, Simulator& sim) const {
+  const auto& in = inputs[static_cast<std::size_t>(frame)];
+  const std::size_t words = static_cast<std::size_t>(sim.words());
+  const auto& pis = sim.netlist().inputs();
+  for (std::size_t p = 0; p < pis.size(); ++p) {
+    auto dst = sim.value(pis[p]);
+    std::copy(in.begin() + static_cast<std::ptrdiff_t>(p * words),
+              in.begin() + static_cast<std::ptrdiff_t>((p + 1) * words),
+              dst.begin());
+  }
+}
+
+FrameStimulus record_frames(const Netlist& nl, const SimConfig& cfg) {
+  SERELIN_SPAN("obs/record");
+  SERELIN_REQUIRE(cfg.frames > 0, "need at least one time frame");
+  const int words = cfg.words();
+  Rng rng(cfg.seed);
+  Simulator sim(nl, words);
+  sim.reset_state();
+  sim.run_random_cycles(cfg.warmup, rng);
+
+  FrameStimulus stim;
+  stim.inputs.assign(cfg.frames, {});
+  stim.states.assign(cfg.frames, {});
+  for (int f = 0; f < cfg.frames; ++f) {
+    auto& in = stim.inputs[f];
+    in.reserve(nl.inputs().size() * static_cast<std::size_t>(words));
+    sim.randomize_inputs(rng);
+    for (NodeId pi : nl.inputs()) {
+      auto v = sim.value(pi);
+      in.insert(in.end(), v.begin(), v.end());
+    }
+    stim.states[f].assign(sim.state_plane().begin(), sim.state_plane().end());
+    sim.eval_frame();
+    sim.step();
+  }
+  return stim;
+}
+
 ObservabilityAnalyzer::ObservabilityAnalyzer(const Netlist& nl, SimConfig cfg)
     : nl_(&nl), cfg_(cfg), words_(cfg.words()) {
   SERELIN_REQUIRE(cfg.frames > 0, "need at least one time frame");
 }
 
-void ObservabilityAnalyzer::record_run() {
-  SERELIN_SPAN("obs/record");
-  Rng rng(cfg_.seed);
-  Simulator sim(*nl_, words_);
-  sim.reset_state();
-  sim.run_random_cycles(cfg_.warmup, rng);
-
-  inputs_.assign(cfg_.frames, {});
-  states_.assign(cfg_.frames, {});
-  for (int f = 0; f < cfg_.frames; ++f) {
-    auto& in = inputs_[f];
-    in.reserve(nl_->inputs().size() * static_cast<std::size_t>(words_));
-    sim.randomize_inputs(rng);
-    for (NodeId pi : nl_->inputs()) {
-      auto v = sim.value(pi);
-      in.insert(in.end(), v.begin(), v.end());
-    }
-    states_[f].assign(sim.state_plane().begin(), sim.state_plane().end());
-    sim.eval_frame();
-    sim.step();
-  }
-}
-
-ObsResult ObservabilityAnalyzer::run(Mode mode) {
+ObsResult ObservabilityAnalyzer::run() {
   SERELIN_SPAN("obs/run");
-  record_run();
-  return mode == Mode::kSignature ? run_signature() : run_exact();
+  return run_signature(record_frames(*nl_, cfg_));
 }
 
-ObsResult ObservabilityAnalyzer::run_signature() {
+ObsResult ObservabilityAnalyzer::run_signature(
+    const FrameStimulus& stim) const {
   SERELIN_SPAN("obs/signature");
   const std::size_t n_nodes = nl_->node_count();
   const std::size_t plane = n_nodes * static_cast<std::size_t>(words_);
@@ -87,14 +101,8 @@ ObsResult ObservabilityAnalyzer::run_signature() {
     // approximation, so an expired deadline aborts the whole analysis.
     cfg_.deadline.check("observability signature pass");
     // Re-evaluate frame `frame`.
-    sim.load_state(states_[frame]);
-    const auto& in = inputs_[frame];
-    for (std::size_t p = 0; p < nl_->inputs().size(); ++p) {
-      auto dst = sim.value(nl_->inputs()[p]);
-      std::copy(in.begin() + static_cast<std::ptrdiff_t>(p * words_),
-                in.begin() + static_cast<std::ptrdiff_t>((p + 1) * words_),
-                dst.begin());
-    }
+    sim.load_state(stim.states[frame]);
+    stim.load_inputs(frame, sim);
     sim.eval_frame();
 
     const bool last_frame = (frame == cfg_.frames - 1);
@@ -165,101 +173,6 @@ ObsResult ObservabilityAnalyzer::run_signature() {
         {odc.data() + static_cast<std::size_t>(v) * words_,
          static_cast<std::size_t>(words_)},
         cfg_.patterns);
-  return out;
-}
-
-void ObservabilityAnalyzer::observables(NodeId flip, Simulator& sim,
-                                        std::vector<std::uint64_t>& gather,
-                                        std::vector<std::uint64_t>& out) const {
-  sim.load_state(states_[0]);
-  out.clear();
-  for (int frame = 0; frame < cfg_.frames; ++frame) {
-    const auto& in = inputs_[frame];
-    for (std::size_t p = 0; p < nl_->inputs().size(); ++p) {
-      auto dst = sim.value(nl_->inputs()[p]);
-      std::copy(in.begin() + static_cast<std::ptrdiff_t>(p * words_),
-                in.begin() + static_cast<std::ptrdiff_t>((p + 1) * words_),
-                dst.begin());
-    }
-    if (frame == 0 && flip != kNullNode) {
-      // Evaluate with the flip injected at `flip` and propagated: evaluate
-      // normally, invert the node, then re-evaluate everything downstream.
-      // Re-evaluating the whole frame after the inversion is simplest and
-      // correct because gate evaluation is in topological order and the
-      // inverted node is pinned.
-      sim.eval_frame();
-      auto fv = sim.value(flip);
-      for (auto& w : fv) w = ~w;
-      // Recompute gates downstream of flip (all gates; pin the flip).
-      std::int64_t reevaluated = 0;
-      for (NodeId id : nl_->gate_order()) {
-        if (id == flip) continue;
-        const Node& n = nl_->node(id);
-        gather.resize(n.fanins.size());
-        auto outw = sim.value(id);
-        for (int w = 0; w < words_; ++w) {
-          for (std::size_t k = 0; k < n.fanins.size(); ++k)
-            gather[k] = sim.value(n.fanins[k])[w];
-          outw[w] = eval_cell(n.type, {gather.data(), n.fanins.size()});
-        }
-        ++reevaluated;
-      }
-      SERELIN_COUNT(kSimPatternWords, reevaluated * words_);
-    } else {
-      sim.eval_frame();
-    }
-    for (NodeId po : nl_->outputs()) {
-      auto v = sim.value(po);
-      out.insert(out.end(), v.begin(), v.end());
-    }
-    sim.step();
-  }
-  const auto st = sim.state_plane();
-  out.insert(out.end(), st.begin(), st.end());
-}
-
-ObsResult ObservabilityAnalyzer::run_exact() {
-  SERELIN_SPAN("obs/exact");
-  ObsResult out;
-  out.obs.assign(nl_->node_count(), 0.0);
-
-  std::vector<std::uint64_t> base;
-  {
-    Simulator sim(*nl_, words_);
-    std::vector<std::uint64_t> gather;
-    observables(kNullNode, sim, gather, base);
-  }
-
-  // One flip-and-resimulate run per node; runs are fully independent (each
-  // owns its Simulator and writes only obs[v]), so the fan-out is
-  // deterministic by construction.
-  struct LaneScratch {
-    std::unique_ptr<Simulator> sim;
-    std::vector<std::uint64_t> plane;
-    std::vector<std::uint64_t> gather;
-    std::vector<std::uint64_t> diff;
-  };
-  std::vector<LaneScratch> lanes(
-      static_cast<std::size_t>(parallel_workers()));
-  // Deadline-aware guided fan-out: each lane polls before every
-  // flip-resimulate and the CancelledError is rethrown on the caller.
-  // Flip costs vary with each node's fanout cone, so static round-robin
-  // chunking starves lanes that drew the cheap nodes; guided scheduling
-  // lets idle lanes claim the (deterministically pre-cut) chunks instead.
-  parallel_for_guided(0, nl_->node_count(), 1, cfg_.deadline,
-                      "observability exact pass", [&](std::size_t v,
-                                                      int lane) {
-    LaneScratch& sc = lanes[static_cast<std::size_t>(lane)];
-    if (!sc.sim) sc.sim = std::make_unique<Simulator>(*nl_, words_);
-    SERELIN_COUNT(kObsFlips, 1);
-    observables(static_cast<NodeId>(v), *sc.sim, sc.gather, sc.plane);
-    SERELIN_ASSERT(sc.plane.size() == base.size(),
-                   "observable plane mismatch");
-    sc.diff.assign(static_cast<std::size_t>(words_), 0);
-    for (std::size_t i = 0; i < base.size(); ++i)
-      sc.diff[i % static_cast<std::size_t>(words_)] |= base[i] ^ sc.plane[i];
-    out.obs[v] = popcount_fraction(sc.diff, cfg_.patterns);
-  });
   return out;
 }
 

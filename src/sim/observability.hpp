@@ -10,15 +10,15 @@
 // at g in a typical cycle is ever seen by the environment within n cycles —
 // the time-frame-expansion scheme of Krishnaswamy et al. [17].
 //
-// Two computation modes:
-//   kSignature — backward ODC-mask propagation (the method of [11,21]):
-//       O(g) = [g is PO]·1 | OR_f sens(g→f) & O(f) | cross-frame terms,
-//       where sens(g→f) is the local flip-propagation mask of fanout f.
-//       Linear in circuit size per frame; exact on fanout-free circuits,
-//       first-order (ignores reconvergent flip interactions) otherwise.
-//   kExact — flip-and-resimulate: per node, rerun all n frames with the
-//       node inverted in frame 0 and compare observables. Quadratic; used
-//       as ground truth in tests and available for small circuits.
+// ObservabilityAnalyzer computes O(g) by backward ODC-mask propagation
+// (the signature method of [11,21]):
+//     O(g) = [g is PO]·1 | OR_f sens(g→f) & O(f) | cross-frame terms,
+// where sens(g→f) is the local flip-propagation mask of fanout f. Linear in
+// circuit size per frame; exact on fanout-free circuits, first-order
+// (ignores reconvergent flip interactions) otherwise. The exact
+// flip-and-resimulate reference it is checked against is
+// exact_observability (src/check); both analyse the stimulus that
+// record_frames records, so they see the same patterns by construction.
 //
 // Flip-flop nodes get an observability too (the visibility of an upset of
 // their stored bit); the paper's register-observability model obs(reg) =
@@ -26,6 +26,7 @@
 // computed here feed the reference SER analysis.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -39,38 +40,39 @@ struct ObsResult {
   std::vector<double> obs;
 };
 
+/// The stimulus of one observability analysis: the primary-input words and
+/// the register plane entering each of the cfg.frames analysed frames.
+struct FrameStimulus {
+  /// inputs[f] holds |PI|·words words, in Netlist::inputs() order.
+  std::vector<std::vector<std::uint64_t>> inputs;
+  /// states[f] holds |DFF|·words words, in Netlist::dffs() order.
+  std::vector<std::vector<std::uint64_t>> states;
+
+  /// Copies frame `frame`'s primary-input words into `sim`'s value plane.
+  void load_inputs(int frame, Simulator& sim) const;
+};
+
+/// Simulates cfg.warmup random cycles from the all-zero state, then
+/// records the inputs and register state of cfg.frames further random
+/// cycles. Deterministic for a fixed config (the patterns come from
+/// cfg.seed alone).
+FrameStimulus record_frames(const Netlist& nl, const SimConfig& cfg);
+
 class ObservabilityAnalyzer {
  public:
-  enum class Mode { kSignature, kExact };
-
   ObservabilityAnalyzer(const Netlist& nl, SimConfig cfg);
 
-  /// Runs warm-up + n-frame analysis. Deterministic for a fixed config.
-  ObsResult run(Mode mode = Mode::kSignature);
+  /// Records the stimulus, then runs the backward ODC pass over it.
+  /// Deterministic for a fixed config; an expired cfg.deadline throws
+  /// CancelledError.
+  ObsResult run();
 
  private:
-  ObsResult run_signature();
-  ObsResult run_exact();
-
-  /// Simulates frames 0..frames-1 from the stored frame-0 state/inputs,
-  /// optionally flipping `flip` in frame 0, and fills `out` with the
-  /// concatenated observable words (POs of each frame, then the final
-  /// register plane). `sim` and `gather` are caller-owned scratch so the
-  /// exact mode can run one resimulation per flip node in parallel with
-  /// per-worker buffers; const and thread-safe for distinct scratch.
-  void observables(NodeId flip, Simulator& sim,
-                   std::vector<std::uint64_t>& gather,
-                   std::vector<std::uint64_t>& out) const;
-
-  void record_run();  // warm-up, then store per-frame inputs and states
+  ObsResult run_signature(const FrameStimulus& stim) const;
 
   const Netlist* nl_;
   SimConfig cfg_;
   int words_;
-  // Stored per-frame stimuli/state so backward passes can re-evaluate any
-  // frame: inputs_[f] is |PI|*words, states_[f] is |DFF|*words.
-  std::vector<std::vector<std::uint64_t>> inputs_;
-  std::vector<std::vector<std::uint64_t>> states_;
 };
 
 }  // namespace serelin

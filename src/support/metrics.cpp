@@ -32,7 +32,6 @@ const char* counter_name(Counter c) {
     case Counter::kOracleChecks: return "oracle-checks";
     case Counter::kDeadlineSlices: return "deadline-slices";
     case Counter::kJournalWrites: return "journal-writes";
-    case Counter::kGuidedChunks: return "guided-chunks";
     case Counter::kServeJobs: return "serve-jobs";
     case Counter::kServeCacheHits: return "serve-cache-hits";
     case Counter::kServeCacheMisses: return "serve-cache-misses";

@@ -59,7 +59,6 @@ enum class Counter : std::uint16_t {
   kOracleChecks,     ///< oracle invariant checks executed
   kDeadlineSlices,   ///< pipeline stage deadline slices consumed
   kJournalWrites,    ///< JSONL journal lines written
-  kGuidedChunks,     ///< chunks of the guided-scheduling ladder dispatched
   kServeJobs,        ///< retiming jobs executed by the job server
   kServeCacheHits,   ///< submissions answered from the server result cache
   kServeCacheMisses, ///< submissions that had to run the pipeline

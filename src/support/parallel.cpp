@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "support/check.hpp"
-#include "support/metrics.hpp"
 
 namespace serelin {
 
@@ -154,67 +153,6 @@ void parallel_for_impl(
       tl_in_region = true;
       try {
         run_chunks(static_cast<std::size_t>(lane), lanes, lane);
-      } catch (...) {
-        MutexLock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      tl_in_region = false;
-    });
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_for_guided_impl(
-    std::size_t begin, std::size_t end, std::size_t min_grain,
-    const std::function<void(std::size_t, std::size_t, int)>& body) {
-  if (begin >= end) return;
-  const std::size_t g = std::max<std::size_t>(1, min_grain);
-
-  // The chunk ladder depends only on (range, min_grain) — computing it up
-  // front (rather than carving chunks as lanes go idle) is what keeps the
-  // schedule, and every per-chunk counter, independent of the worker
-  // count. Chunks shrink toward the tail, so a lane stuck on an expensive
-  // item near the end holds at most min_grain items hostage.
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  std::size_t pos = begin;
-  while (pos < end) {
-    const std::size_t size = std::max(g, (end - pos) / 64);
-    const std::size_t e = std::min(end, pos + size);
-    chunks.emplace_back(pos, e);
-    pos = e;
-  }
-  SERELIN_COUNT(kGuidedChunks, static_cast<std::int64_t>(chunks.size()));
-
-  const int workers = execution_threads();
-  if (workers <= 1 || chunks.size() <= 1 || tl_in_region) {
-    for (const auto& [b, e] : chunks) body(b, e, 0);
-    return;
-  }
-
-  // Dynamic assignment: each idle lane claims the next unclaimed chunk.
-  // Outputs stay disjoint per index, so which lane ran a chunk is
-  // unobservable in the results.
-  std::atomic<std::size_t> cursor{0};
-  std::exception_ptr first_error;
-  Mutex error_mutex;
-  // The shared pool may hold more lanes than the configured worker count
-  // (it grows to the largest request and is reused); excess lanes must
-  // not participate — callers size per-lane scratch by parallel_workers().
-  const int lanes = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(workers), chunks.size()));
-  {
-    MutexLock pool_lock(g_pool_mutex);
-    ThreadPool& pool = shared_pool(workers);
-    pool.run([&](int lane) {
-      if (lane >= lanes) return;
-      tl_in_region = true;
-      try {
-        for (;;) {
-          const std::size_t c =
-              cursor.fetch_add(1, std::memory_order_relaxed);
-          if (c >= chunks.size()) break;
-          body(chunks[c].first, chunks[c].second, lane);
-        }
       } catch (...) {
         MutexLock lock(error_mutex);
         if (!first_error) first_error = std::current_exception();

@@ -108,15 +108,6 @@ void parallel_for_impl(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, int)>& body);
 
-/// Guided fan-out: chunks come from a precomputed decreasing ladder (each
-/// chunk = max(min_grain, remaining/64), a pure function of the range and
-/// min_grain — never of the worker count) and idle lanes claim the next
-/// chunk from a shared atomic cursor. Late small chunks absorb per-item
-/// cost variance that static round-robin turns into lane starvation.
-void parallel_for_guided_impl(
-    std::size_t begin, std::size_t end, std::size_t min_grain,
-    const std::function<void(std::size_t, std::size_t, int)>& body);
-
 }  // namespace detail
 
 /// Parallel loop over [begin, end): `fn(i, lane)` once per index, statically
@@ -148,41 +139,6 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
   }
   detail::parallel_for_impl(
       begin, end, grain,
-      [&fn, &deadline, where](std::size_t b, std::size_t e, int lane) {
-        for (std::size_t i = b; i < e; ++i) {
-          deadline.check(where);
-          fn(i, lane);
-        }
-      });
-}
-
-/// Guided-scheduling loop over [begin, end): `fn(i, lane)` once per index.
-/// Chunk *assignment* to lanes is dynamic (work stealing from a shared
-/// cursor), but the chunk boundaries are deterministic and each index
-/// still owns a disjoint output slice, so results — and every
-/// SERELIN_COUNT total — remain bit-identical for any thread count. Use
-/// instead of parallel_for when per-index cost varies widely (e.g. exact
-/// observability flips, whose fanout cones differ by orders of magnitude).
-template <typename Fn>
-void parallel_for_guided(std::size_t begin, std::size_t end,
-                         std::size_t min_grain, Fn&& fn) {
-  detail::parallel_for_guided_impl(
-      begin, end, min_grain, [&fn](std::size_t b, std::size_t e, int lane) {
-        for (std::size_t i = b; i < e; ++i) fn(i, lane);
-      });
-}
-
-/// Deadline-aware guided loop (see the deadline overload of parallel_for).
-template <typename Fn>
-void parallel_for_guided(std::size_t begin, std::size_t end,
-                         std::size_t min_grain, const Deadline& deadline,
-                         const char* where, Fn&& fn) {
-  if (deadline.unlimited()) {
-    parallel_for_guided(begin, end, min_grain, std::forward<Fn>(fn));
-    return;
-  }
-  detail::parallel_for_guided_impl(
-      begin, end, min_grain,
       [&fn, &deadline, where](std::size_t b, std::size_t e, int lane) {
         for (std::size_t i = b; i < e; ++i) {
           deadline.check(where);

@@ -110,8 +110,7 @@ std::optional<Violation> ConstraintChecker::find_violation(
 template <class Ids>
 std::vector<Violation> ConstraintChecker::scan(
     const Retiming& r, const GraphTiming& t, const Ids& p2_edges,
-    const Ids& p1_vertices, std::span<const char> movers,
-    std::size_t max_count) const {
+    const Ids& p1_vertices, std::span<const char> movers) const {
   std::vector<Violation> out;
   std::vector<char> taken(g_->vertex_count(), 0);
   const auto push = [&](const Violation& v) {
@@ -128,29 +127,23 @@ std::vector<Violation> ConstraintChecker::scan(
   };
 
   if (rmin_ > 0.0)
-    for (const EdgeId e : p2_edges) {
-      if (out.size() >= max_count) break;
-      offer(p2_at(r, t, e, movers));
-    }
-  for (const VertexId v : p1_vertices) {
-    if (out.size() >= max_count) break;
-    offer(p1_at(t, v));
-  }
+    for (const EdgeId e : p2_edges) offer(p2_at(r, t, e, movers));
+  for (const VertexId v : p1_vertices) offer(p1_at(t, v));
   if (out.empty() && fallback) out.push_back(*fallback);
   return out;
 }
 
 std::vector<Violation> ConstraintChecker::find_violations(
-    const Retiming& r, const GraphTiming& t, std::span<const char> movers,
-    std::size_t max_count) const {
+    const Retiming& r, const GraphTiming& t,
+    std::span<const char> movers) const {
   return scan(r, t, all_ids(g_->edge_count()), all_ids(g_->vertex_count()),
-              movers, max_count);
+              movers);
 }
 
 std::vector<Violation> ConstraintChecker::find_violations(
     const Retiming& r, const GraphTiming& t, const TimingDelta& delta,
-    std::span<const char> movers, std::size_t max_count) const {
-  if (delta.full) return find_violations(r, t, movers, max_count);
+    std::span<const char> movers) const {
+  if (delta.full) return find_violations(r, t, movers);
   // P2' candidates: a fresh violation needs a changed register count or a
   // changed head label (min_after / crit_min_edge / rt of e.to), so the
   // union of wr_changed and the in-edges of relabeled vertices covers
@@ -166,8 +159,7 @@ std::vector<Violation> ConstraintChecker::find_violations(
   }
   // P1' candidates: a fresh violation needs a changed max_after, so the
   // relabeled set (already ascending) covers every violating vertex.
-  return scan<std::span<const EdgeId>>(r, t, edges, delta.relabeled, movers,
-                                       max_count);
+  return scan<std::span<const EdgeId>>(r, t, edges, delta.relabeled, movers);
 }
 
 bool ConstraintChecker::feasible(const Retiming& r, GraphTiming& t) const {

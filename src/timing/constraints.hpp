@@ -74,18 +74,17 @@ class ConstraintChecker {
       const Retiming& r, const GraphTiming& t,
       std::span<const char> movers = {}) const;
 
-  /// Batch form: collects up to `max_count` P2'/P1' violations with
-  /// pairwise distinct q, so a solver can fold many active constraints
-  /// into the forest per timing recomputation (one tentative move
-  /// typically breaks many constraints at once; processing them
-  /// one-per-recompute would cost a full O(|V|+|E|) pass each). Requires a
-  /// P0-valid `r` (g.valid(r)) and does not scan P0: path labels are
-  /// meaningless beside negative edge weights, so a batching solver closes
-  /// P0 before it probes (see MinObsWinSolver).
+  /// Batch form: collects every P2'/P1' violation with pairwise distinct
+  /// q (the first per q, in scan order), so a solver can fold all the
+  /// active constraints of one tentative move into the forest per timing
+  /// recomputation (one move typically breaks several constraints at
+  /// once; processing them one-per-recompute would cost a relabel each).
+  /// Requires a P0-valid `r` (g.valid(r)) and does not scan P0: path
+  /// labels are meaningless beside negative edge weights, so a batching
+  /// solver closes P0 before it probes (see MinObsWinSolver).
   std::vector<Violation> find_violations(const Retiming& r,
                                          const GraphTiming& t,
-                                         std::span<const char> movers,
-                                         std::size_t max_count) const;
+                                         std::span<const char> movers) const;
 
   /// Dirty-set batch form: scans only the edges/vertices named by `delta`
   /// (a GraphTiming::update result) instead of the whole graph. Requires
@@ -94,13 +93,12 @@ class ConstraintChecker {
   /// edge or a relabeled vertex, and because candidates are scanned in the
   /// same ascending order as the full scan, the returned batch (including
   /// the mover-attribution fallback) is identical to the full-scan batch.
-  /// Requires a P0-valid `r` like the full form, so `delta.p0_dirty` is
-  /// never set; delta.full falls back to the full scan.
+  /// Requires a P0-valid `r` like the full form (GraphTiming::update
+  /// enforces it); delta.full falls back to the full scan.
   std::vector<Violation> find_violations(const Retiming& r,
                                          const GraphTiming& t,
                                          const TimingDelta& delta,
-                                         std::span<const char> movers,
-                                         std::size_t max_count) const;
+                                         std::span<const char> movers) const;
 
   /// Convenience: recomputes `t` for `r` and checks all three.
   bool feasible(const Retiming& r, GraphTiming& t) const;
@@ -117,8 +115,7 @@ class ConstraintChecker {
   template <class Ids>
   std::vector<Violation> scan(const Retiming& r, const GraphTiming& t,
                               const Ids& p2_edges, const Ids& p1_vertices,
-                              std::span<const char> movers,
-                              std::size_t max_count) const;
+                              std::span<const char> movers) const;
 
   const RetimingGraph* g_;
   TimingParams params_;

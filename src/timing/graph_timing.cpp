@@ -1,6 +1,7 @@
 #include "timing/graph_timing.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "support/check.hpp"
 #include "support/metrics.hpp"
@@ -121,7 +122,6 @@ void GraphTiming::compute(const Retiming& r) {
 const TimingDelta& GraphTiming::update(const Retiming& r,
                                        std::span<const VertexId> moved_hint) {
   delta_.full = false;
-  delta_.p0_dirty = false;
   delta_.wr_changed.clear();
   delta_.relabeled.clear();
   if (!labels_exact_) {
@@ -153,11 +153,9 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
   }
 
   // 2. Edges whose w_r changed. The labeled state is valid (w_r >= 0
-  // everywhere), so any negative edge of `r` is necessarily in this set —
-  // the P0 probe rides along for free. (MinObsWin closes P0 before it
-  // moves; of the solvers only the closure solver's bundle grower still
-  // probes P0-invalid candidates here.)
-  bool negative = false;
+  // everywhere), so any negative edge of `r` is necessarily in this set,
+  // and the precondition check costs nothing. It throws before any label
+  // or label_r_ changes, so the labels stay exact for the previous state.
   ++epoch_;
   for (VertexId v : changed_) {
     auto scan = [&](EdgeId eid) {
@@ -165,21 +163,17 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
       emark_[eid] = epoch_;
       const std::int32_t wr_new = g_->wr(eid, r);
       if (wr_new == g_->wr(eid, label_r_)) return;
+      SERELIN_REQUIRE(wr_new >= 0,
+                      "GraphTiming::update needs a valid retiming: edge " +
+                          std::to_string(eid) + " has w_r " +
+                          std::to_string(wr_new));
       delta_.wr_changed.push_back(eid);
-      if (wr_new < 0) negative = true;
     };
     for (EdgeId eid : g_->in_edges(v)) scan(eid);
     for (EdgeId eid : g_->out_edges(v)) scan(eid);
   }
   std::sort(delta_.wr_changed.begin(), delta_.wr_changed.end());
 
-  if (negative) {
-    // Invalid retiming: its w_r = 0 subgraph is not a meaningful DAG, so
-    // the labels stay at label_r_ (still exact for that state). A later
-    // update with a valid retiming rolls everything forward from here.
-    delta_.p0_dirty = true;
-    return delta_;
-  }
   if (delta_.wr_changed.empty()) {
     // Identical w_r everywhere means identical labels (they depend on r
     // only through w_r); just adopt the new representative.

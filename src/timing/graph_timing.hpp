@@ -48,19 +48,13 @@ struct TimingDelta {
   /// A full recompute ran (labels were not exact before the call); the
   /// dirty sets below are not populated.
   bool full = false;
-  /// `r` has a negative w_r edge (P0 violated). Labels were NOT updated —
-  /// they still describe the previous retiming — because the w_r = 0
-  /// subgraph of an invalid retiming is not a meaningful DAG. wr_changed
-  /// still lists every edge whose w_r differs from the labeled state (a
-  /// superset of the negative edges, since the labeled state is valid).
-  bool p0_dirty = false;
   /// Edges whose w_r differs from the previously labeled retiming,
   /// ascending. Empty when `full`.
   std::vector<EdgeId> wr_changed;
   /// Vertices whose backward labels (max_after/min_after/lt/rt/
   /// crit_min_edge) changed, ascending. Arrival-only changes are not
   /// listed: the constraint predicates never read arrival. Empty when
-  /// `full` or `p0_dirty`.
+  /// `full`.
   std::vector<VertexId> relabeled;
 };
 
@@ -74,10 +68,10 @@ class GraphTiming {
 
   /// Incrementally relabels for `r`, touching only the cones reachable
   /// from edges whose w_r changed since the last compute()/update().
-  /// Results are bit-identical to compute(r) whenever g.valid(r); when
-  /// `r` is invalid (negative w_r) the labels are left at the previous
-  /// state and the delta reports p0_dirty (callers must not read labels
-  /// until a later update with a valid retiming rolls them forward).
+  /// Results are bit-identical to compute(r). Requires g.valid(r): the
+  /// w_r = 0 subgraph of an invalid retiming is not a meaningful DAG, so
+  /// an edge whose w_r changes to a negative value throws
+  /// PreconditionError and leaves the labels at the previous state.
   ///
   /// `moved_hint`, when non-empty, must be a superset of the vertices
   /// whose r differs from the last labeled state (duplicates fine); it

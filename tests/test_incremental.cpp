@@ -1,9 +1,9 @@
 // Tests of incremental timing relabeling (GraphTiming::update) and the
 // dirty-set constraint scan: update() must be bit-identical to a fresh
-// compute() over arbitrary valid move sequences, must leave labels intact
-// on P0-invalid retimings, and the delta-driven find_violations must
-// reproduce the full-scan batch whenever the labeled baseline was
-// violation-free (the solver invariant).
+// compute() over arbitrary valid move sequences, must reject P0-invalid
+// retimings without touching the labels, and the delta-driven
+// find_violations must reproduce the full-scan batch whenever the labeled
+// baseline was violation-free (the solver invariant).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +12,7 @@
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/cell_library.hpp"
+#include "support/check.hpp"
 #include "support/parallel.hpp"
 #include "timing/constraints.hpp"
 #include "timing/graph_timing.hpp"
@@ -75,7 +76,6 @@ TEST(IncrementalTiming, NoOpUpdateReportsEmptyDelta) {
   t.compute(r);
   const TimingDelta& d = t.update(r);
   EXPECT_FALSE(d.full);
-  EXPECT_FALSE(d.p0_dirty);
   EXPECT_TRUE(d.wr_changed.empty());
   EXPECT_TRUE(d.relabeled.empty());
 }
@@ -104,7 +104,6 @@ TEST_P(IncrementalSeeds, RandomWalkMatchesFreshComputeExactly) {
     ++applied;
     const TimingDelta& d = incr.update(r, std::span<const VertexId>(&v, 1));
     ASSERT_FALSE(d.full);
-    ASSERT_FALSE(d.p0_dirty);
     fresh.compute(r);
     expect_labels_equal(g, incr, fresh, "walk step");
   }
@@ -140,7 +139,7 @@ TEST_P(IncrementalSeeds, HintlessDiffMatchesHintedUpdate) {
   }
 }
 
-TEST_P(IncrementalSeeds, P0DirtyLeavesLabelsAtPreviousState) {
+TEST_P(IncrementalSeeds, UpdateRejectsP0InvalidRetiming) {
   const Netlist nl = generate_random_circuit(seeded_spec(GetParam()));
   CellLibrary lib;
   RetimingGraph g(nl, lib);
@@ -165,17 +164,25 @@ TEST_P(IncrementalSeeds, P0DirtyLeavesLabelsAtPreviousState) {
   Retiming broken = r;
   broken[bad] -= 1;
   ASSERT_FALSE(g.valid(broken));
-  const TimingDelta& d = t.update(broken, std::span<const VertexId>(&bad, 1));
-  EXPECT_TRUE(d.p0_dirty);
-  EXPECT_FALSE(d.wr_changed.empty());
-  // Labels still describe the previous (valid) retiming.
-  expect_labels_equal(g, t, ref, "after p0_dirty");
+  EXPECT_THROW(t.update(broken, std::span<const VertexId>(&bad, 1)),
+               PreconditionError);
+  EXPECT_THROW(t.update(broken), PreconditionError);
+  expect_labels_equal(g, t, ref, "after rejected update");
 
-  // Rolling back is a no-op diff; labels remain exact for r.
-  const TimingDelta& back = t.update(r, std::span<const VertexId>(&bad, 1));
-  EXPECT_FALSE(back.p0_dirty);
-  EXPECT_TRUE(back.wr_changed.empty());
-  expect_labels_equal(g, t, ref, "after rollback");
+  // A valid update after the rejected ones still matches a fresh compute.
+  VertexId good = kNullVertex;
+  for (VertexId v : gates)
+    if (move_valid(g, r, v, /*inc=*/true)) {
+      good = v;
+      break;
+    }
+  ASSERT_NE(good, kNullVertex);
+  r[good] += 1;
+  const TimingDelta& d = t.update(r, std::span<const VertexId>(&good, 1));
+  EXPECT_FALSE(d.full);
+  EXPECT_FALSE(d.wr_changed.empty());
+  ref.compute(r);
+  expect_labels_equal(g, t, ref, "valid update after rejection");
 }
 
 TEST_P(IncrementalSeeds, DirtyViolationScanMatchesFullScan) {
@@ -220,8 +227,8 @@ TEST_P(IncrementalSeeds, DirtyViolationScanMatchesFullScan) {
     movers[v] = 1;
 
     const TimingDelta& d = t.update(cand, std::span<const VertexId>(&v, 1));
-    const auto dirty = checker.find_violations(cand, t, d, movers, 16);
-    const auto full = checker.find_violations(cand, t, movers, 16);
+    const auto dirty = checker.find_violations(cand, t, d, movers);
+    const auto full = checker.find_violations(cand, t, movers);
     ASSERT_EQ(dirty.size(), full.size()) << "step " << step;
     for (std::size_t i = 0; i < full.size(); ++i) {
       EXPECT_EQ(dirty[i].kind, full[i].kind) << "step " << step;
@@ -232,17 +239,17 @@ TEST_P(IncrementalSeeds, DirtyViolationScanMatchesFullScan) {
       EXPECT_EQ(dirty[i].alt_w, full[i].alt_w) << "step " << step;
     }
     // Without movers every violation is attributable, so the single form
-    // and a one-entry batch must name the same violation.
+    // must name the batch's first entry.
     const auto single = checker.find_violation(cand, t);
-    const auto first = checker.find_violations(cand, t, {}, 1);
-    ASSERT_EQ(single.has_value(), !first.empty()) << "step " << step;
+    const auto batch = checker.find_violations(cand, t, {});
+    ASSERT_EQ(single.has_value(), !batch.empty()) << "step " << step;
     if (single) {
-      EXPECT_EQ(single->kind, first[0].kind) << "step " << step;
-      EXPECT_EQ(single->p, first[0].p) << "step " << step;
-      EXPECT_EQ(single->q, first[0].q) << "step " << step;
-      EXPECT_EQ(single->w, first[0].w) << "step " << step;
-      EXPECT_EQ(single->alt_q, first[0].alt_q) << "step " << step;
-      EXPECT_EQ(single->alt_w, first[0].alt_w) << "step " << step;
+      EXPECT_EQ(single->kind, batch[0].kind) << "step " << step;
+      EXPECT_EQ(single->p, batch[0].p) << "step " << step;
+      EXPECT_EQ(single->q, batch[0].q) << "step " << step;
+      EXPECT_EQ(single->w, batch[0].w) << "step " << step;
+      EXPECT_EQ(single->alt_q, batch[0].alt_q) << "step " << step;
+      EXPECT_EQ(single->alt_w, batch[0].alt_w) << "step " << step;
     }
 
     if (full.empty()) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "check/exact_observability.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
@@ -21,7 +22,7 @@ TEST(Observability, FullyObservableChain) {
   // anywhere always reaches the PO (within the frame horizon).
   const Netlist nl = test::tiny_pipeline();
   ObservabilityAnalyzer an(nl, small_cfg());
-  const auto r = an.run(ObservabilityAnalyzer::Mode::kSignature);
+  const auto r = an.run();
   for (NodeId id = 0; id < nl.node_count(); ++id)
     EXPECT_DOUBLE_EQ(r.obs[id], 1.0) << nl.node(id).name;
 }
@@ -88,20 +89,16 @@ TEST(Observability, SignatureMatchesExactOnTrees) {
   nb.gate("g3", CellType::kNand, {"g1", "g2"});
   nb.output("g3");
   const Netlist nl = nb.build();
-  ObservabilityAnalyzer an(nl, small_cfg(1));
-  const auto approx = an.run(ObservabilityAnalyzer::Mode::kSignature);
-  ObservabilityAnalyzer an2(nl, small_cfg(1));
-  const auto exact = an2.run(ObservabilityAnalyzer::Mode::kExact);
+  const auto approx = ObservabilityAnalyzer(nl, small_cfg(1)).run();
+  const auto exact = exact_observability(nl, small_cfg(1));
   for (NodeId id = 0; id < nl.node_count(); ++id)
     EXPECT_DOUBLE_EQ(approx.obs[id], exact.obs[id]) << nl.node(id).name;
 }
 
 TEST(Observability, SignatureMatchesExactOnSequentialChain) {
   const Netlist nl = test::tiny_pipeline();
-  ObservabilityAnalyzer an(nl, small_cfg(3));
-  const auto approx = an.run(ObservabilityAnalyzer::Mode::kSignature);
-  ObservabilityAnalyzer an2(nl, small_cfg(3));
-  const auto exact = an2.run(ObservabilityAnalyzer::Mode::kExact);
+  const auto approx = ObservabilityAnalyzer(nl, small_cfg(3)).run();
+  const auto exact = exact_observability(nl, small_cfg(3));
   for (NodeId id = 0; id < nl.node_count(); ++id)
     EXPECT_DOUBLE_EQ(approx.obs[id], exact.obs[id]) << nl.node(id).name;
 }
@@ -156,10 +153,8 @@ TEST_P(SigVsExact, CloseToExact) {
   const Netlist nl = generate_random_circuit(spec);
   SimConfig cfg = small_cfg(3);
   cfg.patterns = 1024;
-  const auto approx = ObservabilityAnalyzer(nl, cfg).run(
-      ObservabilityAnalyzer::Mode::kSignature);
-  const auto exact = ObservabilityAnalyzer(nl, cfg).run(
-      ObservabilityAnalyzer::Mode::kExact);
+  const auto approx = ObservabilityAnalyzer(nl, cfg).run();
+  const auto exact = exact_observability(nl, cfg);
   int close = 0, total = 0;
   for (NodeId id = 0; id < nl.node_count(); ++id) {
     ++total;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "check/exact_observability.hpp"
 #include "check/wd_matrices.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_circuit.hpp"
@@ -68,7 +69,13 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelFor, LaneIndexStaysBelowWorkerCount) {
+  // The shared pool keeps the largest worker count ever requested, so grow
+  // it first: a region configured for fewer workers must not let the
+  // pool's surplus lanes run, since callers size per-lane scratch with
+  // parallel_workers().
   ThreadGuard guard;
+  set_execution_threads(8);
+  parallel_for(0, std::size_t{64}, 1, [](std::size_t, int) {});
   set_execution_threads(3);
   std::atomic<bool> ok{true};
   parallel_for(0, 1000, 1, [&](std::size_t, int lane) {
@@ -181,46 +188,49 @@ TEST(WdCandidatePeriods, ToleranceDedupKeepsDistinctValues) {
 
 // --- Observability ---------------------------------------------------------
 
-void expect_obs_identical(const Netlist& nl,
-                          ObservabilityAnalyzer::Mode mode) {
+ObsResult signature_observability(const Netlist& nl, const SimConfig& cfg) {
+  return ObservabilityAnalyzer(nl, cfg).run();
+}
+
+using ObsEngine = ObsResult (*)(const Netlist&, const SimConfig&);
+
+void expect_obs_identical(const Netlist& nl, ObsEngine engine,
+                          const char* what) {
   ThreadGuard guard;
   SimConfig cfg;
   cfg.patterns = 256;
   cfg.frames = 4;
   cfg.warmup = 6;
   set_execution_threads(1);
-  const ObsResult reference = ObservabilityAnalyzer(nl, cfg).run(mode);
+  const ObsResult reference = engine(nl, cfg);
   for (int threads : thread_ladder()) {
     set_execution_threads(threads);
-    const ObsResult got = ObservabilityAnalyzer(nl, cfg).run(mode);
+    const ObsResult got = engine(nl, cfg);
     ASSERT_EQ(got.obs.size(), reference.obs.size());
     for (std::size_t i = 0; i < got.obs.size(); ++i)
       ASSERT_EQ(got.obs[i], reference.obs[i])
-          << "node " << i << " at " << threads << " threads ("
-          << (mode == ObservabilityAnalyzer::Mode::kExact ? "exact"
-                                                          : "signature")
-          << ")";
+          << "node " << i << " at " << threads << " threads (" << what << ")";
   }
 }
 
 TEST(ParallelObservability, ExactBitIdenticalOnPaperExample) {
-  expect_obs_identical(fig1_circuit(10), ObservabilityAnalyzer::Mode::kExact);
+  expect_obs_identical(fig1_circuit(10), exact_observability, "exact");
 }
 
 TEST(ParallelObservability, ExactBitIdenticalOnRandomCircuit) {
   // More flip nodes than any worker count in the ladder.
-  expect_obs_identical(random_circuit(200, 21),
-                       ObservabilityAnalyzer::Mode::kExact);
+  expect_obs_identical(random_circuit(200, 21), exact_observability,
+                       "exact");
 }
 
 TEST(ParallelObservability, SignatureBitIdenticalOnPaperExample) {
-  expect_obs_identical(fig1_circuit(10),
-                       ObservabilityAnalyzer::Mode::kSignature);
+  expect_obs_identical(fig1_circuit(10), signature_observability,
+                       "signature");
 }
 
 TEST(ParallelObservability, SignatureBitIdenticalOnRandomCircuit) {
-  expect_obs_identical(random_circuit(400, 22),
-                       ObservabilityAnalyzer::Mode::kSignature);
+  expect_obs_identical(random_circuit(400, 22), signature_observability,
+                       "signature");
 }
 
 // --- SER sweep -------------------------------------------------------------
@@ -271,55 +281,6 @@ TEST(ParallelStress, ManyMoreTasksThanThreads) {
     reference[i] = acc;
   });
   EXPECT_EQ(slots, reference);
-}
-
-// --- Guided scheduling -----------------------------------------------------
-
-TEST(ParallelGuided, ResultsAreThreadCountInvariant) {
-  ThreadGuard guard;
-  constexpr std::size_t kN = 10000;
-  set_execution_threads(1);
-  std::vector<std::uint64_t> reference(kN, 0);
-  parallel_for_guided(0, kN, 4, [&](std::size_t i, int) {
-    reference[i] = i * 2654435761ULL;
-  });
-  for (int threads : thread_ladder()) {
-    set_execution_threads(threads);
-    std::vector<std::uint64_t> got(kN, 0);
-    parallel_for_guided(0, kN, 4,
-                        [&](std::size_t i, int) { got[i] = i * 2654435761ULL; });
-    ASSERT_EQ(got, reference) << "at " << threads << " threads";
-  }
-}
-
-TEST(ParallelGuided, LaneIndexStaysBelowConfiguredWorkers) {
-  // Regression: the shared pool keeps the largest worker count ever
-  // requested. A guided region configured for fewer workers must not let
-  // the pool's surplus lanes participate — callers size per-lane scratch
-  // with parallel_workers().
-  ThreadGuard guard;
-  set_execution_threads(8);
-  parallel_for(0, std::size_t{64}, 1, [](std::size_t, int) {});  // grow pool
-  set_execution_threads(2);
-  std::atomic<int> max_lane{-1};
-  parallel_for_guided(0, std::size_t{5000}, 1, [&](std::size_t, int lane) {
-    int seen = max_lane.load(std::memory_order_relaxed);
-    while (lane > seen &&
-           !max_lane.compare_exchange_weak(seen, lane,
-                                           std::memory_order_relaxed)) {
-    }
-  });
-  EXPECT_LT(max_lane.load(), parallel_workers());
-}
-
-TEST(ParallelGuided, DeadlineExpiryCancelsRegion) {
-  ThreadGuard guard;
-  set_execution_threads(2);
-  const Deadline expired = Deadline::after(0.0);
-  EXPECT_THROW(parallel_for_guided(0, std::size_t{1000}, 1, expired,
-                                   "test/guided-deadline",
-                                   [](std::size_t, int) {}),
-               CancelledError);
 }
 
 // --- Per-lane diagnostics --------------------------------------------------

@@ -10,6 +10,7 @@
 #include <streambuf>
 #include <string>
 
+#include "check/exact_observability.hpp"
 #include "check/wd_matrices.hpp"
 #include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
@@ -344,11 +345,8 @@ TEST(Deadline, ObservabilityThrowsCancelled) {
   cfg.warmup = 1;
   cfg.deadline = Deadline::after(0.0);
   ObservabilityAnalyzer sig(nl, cfg);
-  EXPECT_THROW(sig.run(ObservabilityAnalyzer::Mode::kSignature),
-               CancelledError);
-  ObservabilityAnalyzer exact(nl, cfg);
-  EXPECT_THROW(exact.run(ObservabilityAnalyzer::Mode::kExact),
-               CancelledError);
+  EXPECT_THROW(sig.run(), CancelledError);
+  EXPECT_THROW(exact_observability(nl, cfg), CancelledError);
 }
 
 // ---- seeded mini-fuzz over the corruption engine ------------------------

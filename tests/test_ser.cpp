@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "check/exact_observability.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
 #include "ser/ser_analyzer.hpp"
@@ -96,11 +97,10 @@ TEST(SerAnalyzer, DeterministicAcrossRuns) {
 TEST(SerAnalyzer, ExactModeAgreesOnSmallCircuits) {
   const Netlist nl = test::tiny_reconvergent();
   CellLibrary lib;
-  SerOptions sig = options(10.0);
-  SerOptions exa = options(10.0);
-  exa.obs_mode = ObservabilityAnalyzer::Mode::kExact;
-  const double a = analyze_ser(nl, lib, sig).total;
-  const double b = analyze_ser(nl, lib, exa).total;
+  const SerOptions opt = options(10.0);
+  const double a = analyze_ser(nl, lib, opt).total;
+  const double b =
+      analyze_ser(nl, lib, opt, exact_observability(nl, opt.sim).obs).total;
   // First-order ODC on this reconvergent block is close but not exact.
   EXPECT_NEAR(a, b, 0.15 * b);
 }

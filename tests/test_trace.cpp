@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "check/exact_observability.hpp"
 #include "check/wd_matrices.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
@@ -325,7 +326,7 @@ TEST(Metrics, SimulatorCountsPatternWords) {
   cfg.frames = 2;
   cfg.warmup = 1;
   ObservabilityAnalyzer engine(nl, cfg);
-  engine.run(ObservabilityAnalyzer::Mode::kSignature);
+  engine.run();
   const MetricsSnapshot delta = metrics_snapshot() - before;
   if (!metrics_compiled_in()) {
     EXPECT_EQ(delta[Counter::kSimPatternWords], 0);
@@ -355,8 +356,7 @@ TEST(Metrics, CounterTotalsIdenticalAcrossThreadCounts) {
     cfg.patterns = 128;
     cfg.frames = 2;
     cfg.warmup = 1;
-    ObservabilityAnalyzer exact(nl, cfg);
-    exact.run(ObservabilityAnalyzer::Mode::kExact);
+    exact_observability(nl, cfg);
     SerOptions ser;
     ser.timing = {100.0, 0.0, 2.0};
     ser.sim = cfg;

@@ -1,11 +1,11 @@
-// bench_report — runs the parallel hot-path kernels (W/D construction,
-// exact and signature observability, the SER sweep) at a ladder of worker
-// counts and records wall time + speedup into a JSON file, so the repo's
-// perf trajectory is measured and versioned instead of asserted.
+// bench_report — runs the production hot-path kernels (incremental timing
+// relabeling, signature observability, the SER sweep) at a ladder of
+// worker counts and records wall time + speedup into a JSON file, so the
+// repo's perf trajectory is measured and versioned instead of asserted.
 //
 //   bench_report [--out BENCH_parallel.json] [--gates N] [--dffs N]
 //                [--threads 1,2,4,8] [--repeat R]
-//                [--kernels wd_construct,incr_relabel,...]
+//                [--kernels incr_relabel,obs_signature,ser_sweep]
 //
 // Each (kernel, threads) cell reports the best of R runs (default 2) and
 // the speedup relative to the same kernel at 1 thread. The tool also
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "check/wd_matrices.hpp"
 #include "flow/journal.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
@@ -58,8 +57,7 @@ struct KernelReport {
 };
 
 /// Every kernel, in run order; --kernels names are checked against it.
-constexpr const char* kKernelNames[] = {"wd_construct", "incr_relabel",
-                                        "obs_exact",    "obs_signature",
+constexpr const char* kKernelNames[] = {"incr_relabel", "obs_signature",
                                         "ser_sweep"};
 
 std::string kernel_list() {
@@ -273,18 +271,6 @@ int main(int argc, char** argv) {
     const RetimingGraph g(nl, lib);
     std::vector<KernelReport> kernels;
 
-    if (want("wd_construct")) {
-      kernels.push_back(measure(
-          "wd_construct", "all-pairs W/D over the retiming graph", threads,
-          repeat, [&] {
-            // Times the exact reference's construction.
-            const WdMatrices wd(g);  // NOLINT(serelin-wd-dense-gated)
-            std::vector<std::uint64_t> fp;
-            fp.push_back(fingerprint_bytes(wd.candidate_periods()));
-            return fp;
-          }));
-    }
-
     if (want("incr_relabel")) {
       kernels.push_back(measure(
           "incr_relabel", "4096 single-vertex moves, cone-incremental",
@@ -326,21 +312,6 @@ int main(int argc, char** argv) {
           }));
     }
 
-    if (want("obs_exact")) {
-      SimConfig cfg;
-      cfg.patterns = 256;
-      cfg.frames = 2;
-      cfg.warmup = 4;
-      kernels.push_back(measure(
-          "obs_exact", "flip-and-resimulate, 256 patterns x 2 frames",
-          threads, repeat, [&] {
-            ObservabilityAnalyzer engine(nl, cfg);
-            const ObsResult r =
-                engine.run(ObservabilityAnalyzer::Mode::kExact);
-            return std::vector<std::uint64_t>{fingerprint_bytes(r.obs)};
-          }));
-    }
-
     if (want("obs_signature")) {
       SimConfig cfg;
       cfg.patterns = 2048;
@@ -349,9 +320,7 @@ int main(int argc, char** argv) {
       kernels.push_back(measure(
           "obs_signature", "backward ODC, 2048 patterns x 8 frames", threads,
           repeat, [&] {
-            ObservabilityAnalyzer engine(nl, cfg);
-            const ObsResult r =
-                engine.run(ObservabilityAnalyzer::Mode::kSignature);
+            const ObsResult r = ObservabilityAnalyzer(nl, cfg).run();
             return std::vector<std::uint64_t>{fingerprint_bytes(r.obs)};
           }));
     }
