@@ -16,6 +16,7 @@
 #include "rgraph/apply.hpp"
 #include "ser/ser_analyzer.hpp"
 #include "sim/observability.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -59,7 +60,7 @@ int main() {
                    ? std::string("-")
                    : fmt_fixed(rep_after.elw.elw[id2].measure(), 2)});
   };
-  for (int i = 1; i <= kLadder; ++i) add("a" + std::to_string(i));
+  for (int i = 1; i <= kLadder; ++i) add(numbered("a", i));
   add("F");
   add("G");
   add("J");

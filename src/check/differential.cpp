@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -102,16 +101,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kRminSkew: return "rmin-skew";
     case FaultKind::kPeriodSkew: return "period-skew";
     case FaultKind::kStopDetailDrop: return "stop-detail-drop";
-  }
-  return "unknown";
-}
-
-const char* engine_status_name(EngineStatus s) {
-  switch (s) {
-    case EngineStatus::kOk: return "ok";
-    case EngineStatus::kTimeout: return "timeout";
-    case EngineStatus::kSkipped: return "skipped";
-    case EngineStatus::kCrashed: return "crashed";
   }
   return "unknown";
 }
@@ -427,8 +416,7 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
             continue;
           }
         }
-        const VertexId hint[1] = {v};
-        t.update(r, std::span<const VertexId>(hint));
+        t.update(r);
         ++applied;
       }
       const CrossCheckResult cc = cross_check_incremental_timing(g, t, r);

@@ -106,8 +106,6 @@ enum class EngineStatus : std::uint8_t {
   kCrashed,  ///< threw; always a divergence
 };
 
-const char* engine_status_name(EngineStatus s);
-
 /// Per-engine record of a differential run.
 struct EngineOutcome {
   std::string name;  ///< "forest", "closure", "exhaustive", ...

@@ -78,9 +78,8 @@ MinObsWinSolver::MinObsWinSolver(const RetimingGraph& g, const ObsGains& gains,
 void MinObsWinSolver::offer_checkpoint(const SolverResult& out,
                                        const std::vector<char>& avoid,
                                        const RegularForest& forest,
-                                       int pass_commits, bool force) const {
-  if (!opt_.checkpoint.enabled()) return;
-  const auto fill = [&](CheckpointImage& image) {
+                                       int pass_commits) const {
+  opt_.checkpoint.offer([&](CheckpointImage& image) {
     SolverProgress p;
     p.r = out.r;
     p.commits = out.commits;
@@ -90,11 +89,7 @@ void MinObsWinSolver::offer_checkpoint(const SolverResult& out,
     p.avoid = avoid;
     p.forest = forest.state();
     image.sections.emplace_back("solver", p.encode());
-  };
-  if (force)
-    opt_.checkpoint.force(fill);
-  else
-    opt_.checkpoint.offer(fill);
+  });
 }
 
 /// Folds every P0 implication of the positive set into `forest` (step 1 in
@@ -185,9 +180,9 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
                         " during MinObsWin after " +
                         std::to_string(out.commits) +
                         " commit(s); returning best feasible retiming";
-      // Early stop: persist unconditionally, so the operator's Ctrl-C (or
-      // the deadline) leaves a resumable snapshot of this exact state.
-      offer_checkpoint(out, avoid_q, forest, pass_commits, /*force=*/true);
+      // Early stop: persist, so the operator's Ctrl-C (or the deadline)
+      // leaves a resumable snapshot of this exact state.
+      offer_checkpoint(out, avoid_q, forest, pass_commits);
       break;
     }
     const std::optional<std::vector<VertexId>> closed =
@@ -207,13 +202,13 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
       out.r[v] -= forest.weight(v);
       movers[v] = 1;
     }
-    // Incremental relabel: only the cones around the moved vertices are
-    // touched, and the returned delta narrows the violation scan to the
-    // dirty edges/vertices — bit-identical to a full recompute + full scan
-    // (see TimingDelta), but O(cone) instead of O(|V|+|E|) per iteration.
-    // The move is P0-closed, so update's validity precondition holds.
-    const TimingDelta& delta = timing.update(out.r, candidate);
-    const auto viols = checker.find_violations(out.r, timing, delta, movers);
+    // Relabel the cones around the moved vertices (bit-identical to a full
+    // recompute) and scan the whole graph. The move is P0-closed, so
+    // update's validity precondition holds; after the closure a solve
+    // probes only a handful of times, so the full scan costs nothing
+    // measurable.
+    timing.update(out.r);
+    const auto viols = checker.find_violations(out.r, timing, movers);
 
     if (viols.empty()) {
       // Feasible: commit. The positive set has positive weighted gain by
@@ -225,7 +220,7 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
       ++pass_commits;
       ++out.commits;
       SERELIN_COUNT(kSolverCommits, 1);
-      offer_checkpoint(out, avoid_q, forest, pass_commits, /*force=*/false);
+      offer_checkpoint(out, avoid_q, forest, pass_commits);
       continue;
     }
 
@@ -246,14 +241,12 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     std::vector<char> q_moved(viols.size());
     for (std::size_t i = 0; i < viols.size(); ++i)
       q_moved[i] = movers[fix_q[i]];
+    // The labels stay at the rejected move; the next update diffs from
+    // there.
     for (VertexId v : candidate) {
       out.r[v] += forest.weight(v);
       movers[v] = 0;
     }
-    // Roll the labels back to the (feasible) pre-move state, so the next
-    // iteration's delta is measured against a violation-free baseline —
-    // the invariant the dirty-set scan above relies on.
-    timing.update(out.r, candidate);
     for (std::size_t i = 0; i < viols.size(); ++i) {
       const Violation& viol = viols[i];
       if (i > 0 && !forest.in_positive_tree(viol.p)) continue;  // stale

@@ -10,10 +10,12 @@
 //      set until a round folds nothing. Empty I then means no improving
 //      feasible move exists: the current retiming is returned.
 //   2. Tentatively decrease r(v) by w(v) for every v in I.
-//   3. Relabel timing and search for P1' / P2' violations whose dependency
-//      source p lies in I (the mover that caused them); the closure leaves
-//      no P0 violation to find. If one exists, revert the tentative move
-//      and fold the paper's active constraint (p, q, w) of each into the
+//   3. Relabel timing (incrementally, once per probe) and scan the whole
+//      graph for P1' / P2' violations whose dependency source p lies in I
+//      (the mover that caused them); the closure leaves no P0 violation to
+//      find. If one exists, revert the tentative move (the labels stay at
+//      the rejected move; the next relabel diffs from there) and fold the
+//      paper's active constraint (p, q, w) of each into the
 //      forest: q must move with p, with weight w on top of whatever q
 //      already moved (BreakTree + weight update when q's previously assumed
 //      weight was wrong, blocking when q is a boundary vertex). Loop to 1.
@@ -64,8 +66,8 @@ struct SolverOptions {
   /// so far with stop_reason set (a Partial result), never an illegal one.
   Deadline deadline;
   /// MinObsWinSolver's durable progress snapshots (docs/ROBUSTNESS.md §11):
-  /// default-disabled, offered at every commit (a feasible state), forced
-  /// on an early stop. A SIGKILLed solve resumes from the last snapshot and
+  /// default-disabled, persisted at every commit (a feasible state) and on
+  /// an early stop. A SIGKILLed solve resumes from the last snapshot and
   /// reaches the bit-identical final result. ClosureSolver ignores it.
   CheckpointSink checkpoint;
 };
@@ -137,8 +139,8 @@ class MinObsWinSolver {
                           int mid_pass_commits) const;
   void offer_checkpoint(const SolverResult& out,
                         const std::vector<char>& avoid,
-                        const class RegularForest& forest, int pass_commits,
-                        bool force) const;
+                        const class RegularForest& forest,
+                        int pass_commits) const;
 
   const RetimingGraph* g_;
   const ObsGains* gains_;

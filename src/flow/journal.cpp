@@ -127,17 +127,6 @@ std::optional<std::string> json_string_field(const std::string& record,
   return std::nullopt;  // unterminated string: not a field we wrote
 }
 
-std::optional<bool> json_bool_field(const std::string& record,
-                                    const std::string& key) {
-  const std::string needle = '"' + json_escape(key) + "\":";
-  const std::size_t at = record.find(needle);
-  if (at == std::string::npos) return std::nullopt;
-  const std::size_t v = at + needle.size();
-  if (record.compare(v, 4, "true") == 0) return true;
-  if (record.compare(v, 5, "false") == 0) return false;
-  return std::nullopt;
-}
-
 RunJournal::RunJournal(const std::string& path, JournalWriter::Mode mode)
     : writer_(path, mode) {}
 

@@ -64,10 +64,6 @@ std::string json_escape(const std::string& s);
 std::optional<std::string> json_string_field(const std::string& record,
                                              const std::string& key);
 
-/// Same probe for a top-level true/false field.
-std::optional<bool> json_bool_field(const std::string& record,
-                                    const std::string& key);
-
 /// Receives every journal record as it is written (before the durable
 /// append), so a live consumer — the job server streaming events to a
 /// client — sees the run unfold without tailing the framed file. The

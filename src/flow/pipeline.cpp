@@ -42,6 +42,10 @@ const char* pipeline_stage_name(PipelineStage s) {
 
 namespace {
 
+/// Budget multiplier for the single relaxed retry of a stage whose failure
+/// was budget-related.
+constexpr double kRetryFactor = 2.0;
+
 /// Stage span labels must be literals with static storage (the tracer
 /// keeps the pointer), hence this sibling of pipeline_stage_name.
 [[maybe_unused]] const char* stage_span_name(PipelineStage s) {
@@ -116,9 +120,9 @@ std::pair<int, int> decode_pipeline_section(std::string_view bytes) {
 std::uint64_t pipeline_fingerprint(const Netlist& nl,
                                    const PipelineOptions& options) {
   // The exact circuit, via its canonical BENCH text, plus every option
-  // that can change the accepted result. Budgets (deadline, journal,
-  // checkpoint cadence) are deliberately excluded: they change *when*
-  // snapshots happen, never what a completed run computes.
+  // that can change the accepted result. Budgets and paths (deadline,
+  // stage budget, journal, checkpoint) are deliberately excluded: they
+  // change *when* snapshots happen, never what a completed run computes.
   std::ostringstream bench;
   write_bench(bench, nl);
   BinWriter w;
@@ -346,8 +350,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
 
   CheckpointSink sink;
   if (!options.checkpoint_path.empty())
-    sink = CheckpointSink(options.checkpoint_path, "pipeline", fingerprint,
-                          options.checkpoint_every);
+    sink = CheckpointSink(options.checkpoint_path, "pipeline", fingerprint);
 
   Stopwatch init_watch;
   StageRunner runner(nl, lib, options);
@@ -380,7 +383,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
           attempt == 0
               ? (options.stage_budget_s > 0 ? options.stage_budget_s
                                             : auto_budget)
-              : auto_budget * options.retry_factor;
+              : auto_budget * kRetryFactor;
       const Deadline slice = options.deadline.slice(budget);
       SERELIN_COUNT(kDeadlineSlices, 1);
 
@@ -392,7 +395,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
         stage_sink = sink.with_section(
             "pipeline",
             encode_pipeline_section(static_cast<int>(stage), attempt));
-        stage_sink.force([](CheckpointImage&) {});
+        stage_sink.offer([](CheckpointImage&) {});
       }
       const std::string* solver_snapshot = nullptr;
       if (consume_snapshot) {

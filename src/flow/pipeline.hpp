@@ -82,12 +82,9 @@ struct PipelineOptions {
   /// verification is treated like a failed stage. When false, results are
   /// accepted as the solvers report them (attempts are still journaled).
   bool verify = true;
-  /// Budget multiplier for the single relaxed retry of a stage whose
-  /// failure was budget-related.
-  double retry_factor = 2.0;
   /// Testability override: fixed first-attempt budget per stage in
   /// seconds; 0 = automatic (remaining budget split over remaining
-  /// stages). The relaxed retry always uses the automatic slice.
+  /// stages). The relaxed retry always gets twice the automatic slice.
   double stage_budget_s = 0.0;
   /// JSONL journal path; empty = no journal. Opening failure throws.
   std::string journal_path;
@@ -102,11 +99,10 @@ struct PipelineOptions {
   PipelineStage start = PipelineStage::kMinObsWin;
   /// Durable checkpoint file (docs/ROBUSTNESS.md §11); empty = no
   /// checkpointing. The file always holds a complete snapshot: the stage /
-  /// attempt in flight plus the underlying solver's progress section.
+  /// attempt in flight plus the underlying solver's progress section. It
+  /// is rewritten at every attempt's entry, every MinObsWin commit and
+  /// every early stop.
   std::string checkpoint_path;
-  /// Persist every K-th solver snapshot offer (plus the first and every
-  /// forced one). Deterministic, never wall-clock based.
-  int checkpoint_every = 16;
   /// Existing checkpoint to resume from; empty = fresh run. The snapshot's
   /// fingerprint must match this circuit + these options (else throws),
   /// and the resumed run reaches the bit-identical accepted result the

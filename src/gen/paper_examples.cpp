@@ -2,6 +2,7 @@
 
 #include "netlist/builder.hpp"
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 
@@ -13,9 +14,9 @@ Netlist fig1_circuit(int ladder) {
   nb.input("m_j2");
   std::string prev = "x";
   for (int i = 1; i <= ladder; ++i) {
-    const std::string a = "a" + std::to_string(i);
-    const std::string s = "s" + std::to_string(i);
-    const std::string t = "t" + std::to_string(i);
+    const std::string a = numbered("a", i);
+    const std::string s = numbered("s", i);
+    const std::string t = numbered("t", i);
     nb.gate(a, CellType::kBuf, {prev});
     nb.dff(s, a);                          // direct latch: short-path anchor
     nb.gate(t, CellType::kXor, {s, "x"});  // XOR tap keeps obs(s_i) = 1 and

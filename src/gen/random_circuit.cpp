@@ -5,6 +5,7 @@
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 
@@ -182,7 +183,7 @@ Netlist generate_random_circuit(const RandomCircuitSpec& spec) {
   for (int g = 0; g < G; ++g) {
     const int id = I + D + g;
     std::vector<NodeId> fi(fanin[id].begin(), fanin[id].end());
-    nl.add_node("g" + std::to_string(g), type[id], std::move(fi));
+    nl.add_node(numbered("g", g), type[id], std::move(fi));
   }
   for (int d = 0; d < D; ++d)
     nl.set_dff_input(static_cast<NodeId>(I + d),

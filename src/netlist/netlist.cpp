@@ -70,12 +70,6 @@ double Netlist::total_area(const CellLibrary& lib) const {
   return area;
 }
 
-std::vector<NodeId> Netlist::all_nodes() const {
-  std::vector<NodeId> ids(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) ids[i] = i;
-  return ids;
-}
-
 void Netlist::check_arities() const {
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     const Node& n = nodes_[id];

@@ -43,7 +43,6 @@ class Netlist {
 
   /// Circuit name (e.g. the benchmark name).
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   /// Adds a node. All fanins except a DFF's D pin must already exist; a DFF
   /// may be created with fanin kNullNode and patched later via
@@ -90,9 +89,6 @@ class Netlist {
 
   /// Total area according to `lib` (combinational + sequential).
   double total_area(const CellLibrary& lib) const;
-
-  /// Iterates node ids [0, node_count)).
-  std::vector<NodeId> all_nodes() const;
 
  private:
   void check_arities() const;

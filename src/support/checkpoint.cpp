@@ -131,22 +131,16 @@ bool load_checkpoint(const std::string& path, CheckpointImage& image) {
 }
 
 CheckpointSink::CheckpointSink(std::string path, std::string kind,
-                               std::uint64_t fingerprint, int every)
+                               std::uint64_t fingerprint)
     : impl_(std::make_shared<Impl>()) {
   SERELIN_REQUIRE(!path.empty(), "a checkpoint sink needs a path");
   impl_->path = std::move(path);
   impl_->kind = std::move(kind);
   impl_->fingerprint = fingerprint;
-  impl_->every = every < 1 ? 1 : every;
 }
 
 bool CheckpointSink::healthy() const {
   return !impl_ || impl_->healthy.load(std::memory_order_relaxed);
-}
-
-const std::string& CheckpointSink::path() const {
-  static const std::string kEmpty;
-  return impl_ ? impl_->path : kEmpty;
 }
 
 CheckpointSink CheckpointSink::with_section(std::string name,
@@ -156,8 +150,9 @@ CheckpointSink CheckpointSink::with_section(std::string name,
   return out;
 }
 
-void CheckpointSink::write(
+void CheckpointSink::offer(
     const std::function<void(CheckpointImage&)>& fill) const {
+  if (!impl_ || !impl_->healthy.load(std::memory_order_relaxed)) return;
   CheckpointImage image;
   image.kind = impl_->kind;
   image.fingerprint = impl_->fingerprint;
@@ -166,21 +161,6 @@ void CheckpointSink::write(
   std::string error;
   if (!try_atomic_write_file(impl_->path, encode_checkpoint(image), &error))
     impl_->healthy.store(false, std::memory_order_relaxed);
-}
-
-void CheckpointSink::offer(
-    const std::function<void(CheckpointImage&)>& fill) const {
-  if (!impl_ || !impl_->healthy.load(std::memory_order_relaxed)) return;
-  const std::int64_t n =
-      impl_->offers.fetch_add(1, std::memory_order_relaxed);
-  if (n % impl_->every != 0) return;  // deterministic: first, then every K-th
-  write(fill);
-}
-
-void CheckpointSink::force(
-    const std::function<void(CheckpointImage&)>& fill) const {
-  if (!impl_ || !impl_->healthy.load(std::memory_order_relaxed)) return;
-  write(fill);
 }
 
 }  // namespace serelin

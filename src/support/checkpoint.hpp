@@ -21,11 +21,12 @@
 // resumed-equals-fresh contract is checked bitwise.
 //
 // CheckpointSink rides in SolverOptions next to the Deadline: a cheap
-// value type, default-disabled, copies sharing one rate-limit counter.
-// MinObsWin offer()s a snapshot at every safe point (a committed, feasible
-// state); the sink persists every `every`-th offer plus the
-// first, deterministically — never on a wall-clock cadence, so a fixed
-// seed reproduces the exact same sequence of on-disk snapshots.
+// value type, default-disabled, copies sharing one health flag. MinObsWin
+// offer()s a snapshot at every safe point (a committed, feasible state,
+// or an early stop) and the sink persists every offer — never on a
+// wall-clock cadence, so a fixed seed reproduces the exact same sequence
+// of on-disk snapshots. Commits are few per solve (single digits on every
+// measured circuit), so one write per commit is cheap.
 #pragma once
 
 #include <atomic>
@@ -109,11 +110,11 @@ bool load_checkpoint(const std::string& path, CheckpointImage& image);
 /// Destination for solver progress snapshots; see the header comment.
 class CheckpointSink {
  public:
-  /// Disabled sink: offer()/force() are no-ops.
+  /// Disabled sink: offer() is a no-op.
   CheckpointSink() = default;
 
-  CheckpointSink(std::string path, std::string kind, std::uint64_t fingerprint,
-                 int every = 16);
+  CheckpointSink(std::string path, std::string kind,
+                 std::uint64_t fingerprint);
 
   bool enabled() const { return impl_ != nullptr; }
 
@@ -121,31 +122,22 @@ class CheckpointSink {
   /// then swallowed — durability degrades, the solve never aborts.
   bool healthy() const;
 
-  const std::string& path() const;
-
   /// A copy that prepends one pre-encoded section to every snapshot it
   /// writes — how the pipeline stamps stage context onto the snapshots
-  /// the solver underneath it offers. Shares the rate-limit counter.
+  /// the solver underneath it offers. Shares the health flag.
   CheckpointSink with_section(std::string name, std::string blob) const;
 
-  /// Rate-limited persist: `fill` populates the image's sections; it runs
-  /// only when this offer is one the sink actually writes.
+  /// Persists one snapshot: `fill` populates the image's sections after
+  /// the context ones. A no-op on a disabled or unhealthy sink.
   void offer(const std::function<void(CheckpointImage&)>& fill) const;
-
-  /// Unconditional persist (stage boundaries, cancellation exits).
-  void force(const std::function<void(CheckpointImage&)>& fill) const;
 
  private:
   struct Impl {
     std::string path;
     std::string kind;
     std::uint64_t fingerprint = 0;
-    int every = 16;
-    std::atomic<std::int64_t> offers{0};
     std::atomic<bool> healthy{true};
   };
-
-  void write(const std::function<void(CheckpointImage&)>& fill) const;
 
   std::shared_ptr<Impl> impl_;
   std::vector<std::pair<std::string, std::string>> context_;

@@ -113,13 +113,6 @@ MetricsSnapshot metrics_snapshot() {
   return out;
 }
 
-void metrics_reset() {
-  Registry& r = registry();
-  const MutexLock lock(r.mutex);
-  for (CounterBlock* block : r.blocks)
-    for (std::size_t i = 0; i < kCounterCount; ++i) block->values[i] = 0;
-}
-
 #endif  // SERELIN_TRACE_ENABLED
 
 }  // namespace serelin

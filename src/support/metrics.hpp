@@ -23,10 +23,10 @@
 //   run_stage();
 //   journal.set_json("metrics", metrics_json(metrics_snapshot() - before));
 //
-// metrics_snapshot() and metrics_reset() must be called outside parallel
-// regions: parallel_for joins every lane before returning (a full
-// happens-before edge), so between regions the thread blocks are quiescent
-// and plain reads are race-free.
+// metrics_snapshot() must be called outside parallel regions: parallel_for
+// joins every lane before returning (a full happens-before edge), so
+// between regions the thread blocks are quiescent and plain reads are
+// race-free.
 #pragma once
 
 #include <array>
@@ -116,14 +116,10 @@ inline void metric_add(Counter c, std::int64_t n) {
 /// parallel regions (see the header comment).
 MetricsSnapshot metrics_snapshot();
 
-/// Zeroes every registered block. Call outside parallel regions only.
-void metrics_reset();
-
 #else  // !SERELIN_TRACE_ENABLED — compiled-out stubs, zero overhead
 
 inline void metric_add(Counter, std::int64_t) {}
 inline MetricsSnapshot metrics_snapshot() { return {}; }
-inline void metrics_reset() {}
 
 #endif
 

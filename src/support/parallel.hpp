@@ -49,13 +49,6 @@ int execution_threads();
 /// size per-worker scratch arrays with this.
 inline int parallel_workers() { return execution_threads(); }
 
-/// Global execution configuration, applied by set_execution_threads and
-/// consumed by tools (serelin_cli --threads N flows through here).
-struct ExecutionConfig {
-  /// Requested worker count; 0 = hardware concurrency.
-  int threads = 0;
-};
-
 /// An independent deterministic RNG stream for parallel iteration `index`:
 /// the state is SplitMix64-mixed from (seed, index), so streams are
 /// decorrelated and depend only on the pair, never on thread assignment.

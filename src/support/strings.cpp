@@ -37,6 +37,12 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+std::string numbered(std::string_view prefix, std::int64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::optional<std::int64_t> parse_int(std::string_view s, std::int64_t lo,
                                       std::int64_t hi) {
   std::int64_t value = 0;

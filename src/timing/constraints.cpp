@@ -1,7 +1,6 @@
 #include "timing/constraints.hpp"
 
 #include <algorithm>
-#include <ranges>
 
 #include "support/check.hpp"
 
@@ -21,11 +20,6 @@ inline void attach_drain_alt(const RetimingGraph& g, const Retiming& r,
   if (h == v.q || !g.movable(h)) return;
   v.alt_q = h;
   v.alt_w = std::max(g.wr(launch, r), 1);
-}
-
-/// Ids 0..n-1 ascending: the full scan's candidate list.
-auto all_ids(std::size_t n) {
-  return std::views::iota(std::uint32_t{0}, static_cast<std::uint32_t>(n));
 }
 }  // namespace
 
@@ -87,7 +81,7 @@ std::optional<Violation> ConstraintChecker::find_violation(
   // P0 first: with a negative edge weight the timing labels are
   // meaningless (the paper's order P2/P0/P1 presumes P0 holds during the
   // timing query).
-  for (const EdgeId e : all_ids(g_->edge_count()))
+  for (EdgeId e = 0; e < g_->edge_count(); ++e)
     if (auto v = p0_at(r, e)) return v;
   // Then the first attributed P2', else the first P2' at all, then the
   // same for P1'.
@@ -99,18 +93,17 @@ std::optional<Violation> ConstraintChecker::find_violation(
     return false;
   };
   if (rmin_ > 0.0)
-    for (const EdgeId e : all_ids(g_->edge_count()))
+    for (EdgeId e = 0; e < g_->edge_count(); ++e)
       if (auto v = p2_at(r, t, e, movers); attributed(v)) return v;
   if (fallback) return fallback;
-  for (const VertexId v : all_ids(g_->vertex_count()))
+  for (VertexId v = 0; v < g_->vertex_count(); ++v)
     if (auto viol = p1_at(t, v); attributed(viol)) return viol;
   return fallback;
 }
 
-template <class Ids>
-std::vector<Violation> ConstraintChecker::scan(
-    const Retiming& r, const GraphTiming& t, const Ids& p2_edges,
-    const Ids& p1_vertices, std::span<const char> movers) const {
+std::vector<Violation> ConstraintChecker::find_violations(
+    const Retiming& r, const GraphTiming& t,
+    std::span<const char> movers) const {
   std::vector<Violation> out;
   std::vector<char> taken(g_->vertex_count(), 0);
   const auto push = [&](const Violation& v) {
@@ -127,39 +120,11 @@ std::vector<Violation> ConstraintChecker::scan(
   };
 
   if (rmin_ > 0.0)
-    for (const EdgeId e : p2_edges) offer(p2_at(r, t, e, movers));
-  for (const VertexId v : p1_vertices) offer(p1_at(t, v));
+    for (EdgeId e = 0; e < g_->edge_count(); ++e)
+      offer(p2_at(r, t, e, movers));
+  for (VertexId v = 0; v < g_->vertex_count(); ++v) offer(p1_at(t, v));
   if (out.empty() && fallback) out.push_back(*fallback);
   return out;
-}
-
-std::vector<Violation> ConstraintChecker::find_violations(
-    const Retiming& r, const GraphTiming& t,
-    std::span<const char> movers) const {
-  return scan(r, t, all_ids(g_->edge_count()), all_ids(g_->vertex_count()),
-              movers);
-}
-
-std::vector<Violation> ConstraintChecker::find_violations(
-    const Retiming& r, const GraphTiming& t, const TimingDelta& delta,
-    std::span<const char> movers) const {
-  if (delta.full) return find_violations(r, t, movers);
-  // P2' candidates: a fresh violation needs a changed register count or a
-  // changed head label (min_after / crit_min_edge / rt of e.to), so the
-  // union of wr_changed and the in-edges of relabeled vertices covers
-  // every violating edge. Sorted ascending to mirror the full scan.
-  std::vector<EdgeId> edges;
-  if (rmin_ > 0.0) {
-    edges = delta.wr_changed;
-    for (VertexId v : delta.relabeled)
-      edges.insert(edges.end(), g_->in_edges(v).begin(),
-                   g_->in_edges(v).end());
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-  // P1' candidates: a fresh violation needs a changed max_after, so the
-  // relabeled set (already ascending) covers every violating vertex.
-  return scan<std::span<const EdgeId>>(r, t, edges, delta.relabeled, movers);
 }
 
 bool ConstraintChecker::feasible(const Retiming& r, GraphTiming& t) const {

@@ -17,6 +17,10 @@
 // boundary vertex (source or sink) the violation is unfixable — the solver
 // must abandon (block) the tree containing p; this is exactly the paper's
 // "no registers can be moved into the host" early exit on b18/b19.
+//
+// Each predicate is written once, per edge or vertex, and two whole-graph
+// scans read them: find_violation returns the first violation, and
+// find_violations the batch a MinObsWin probe folds into its forest.
 #pragma once
 
 #include <optional>
@@ -86,20 +90,6 @@ class ConstraintChecker {
                                          const GraphTiming& t,
                                          std::span<const char> movers) const;
 
-  /// Dirty-set batch form: scans only the edges/vertices named by `delta`
-  /// (a GraphTiming::update result) instead of the whole graph. Requires
-  /// the solver invariant that the previously labeled retiming was
-  /// violation-free: then every current violation involves a w_r-changed
-  /// edge or a relabeled vertex, and because candidates are scanned in the
-  /// same ascending order as the full scan, the returned batch (including
-  /// the mover-attribution fallback) is identical to the full-scan batch.
-  /// Requires a P0-valid `r` like the full form (GraphTiming::update
-  /// enforces it); delta.full falls back to the full scan.
-  std::vector<Violation> find_violations(const Retiming& r,
-                                         const GraphTiming& t,
-                                         const TimingDelta& delta,
-                                         std::span<const char> movers) const;
-
   /// Convenience: recomputes `t` for `r` and checks all three.
   bool feasible(const Retiming& r, GraphTiming& t) const;
 
@@ -109,13 +99,6 @@ class ConstraintChecker {
   std::optional<Violation> p2_at(const Retiming& r, const GraphTiming& t,
                                  EdgeId e, std::span<const char> movers) const;
   std::optional<Violation> p1_at(const GraphTiming& t, VertexId v) const;
-
-  /// The batch scan behind both find_violations forms: P2' over
-  /// `p2_edges`, then P1' over `p1_vertices`, each list in ascending order.
-  template <class Ids>
-  std::vector<Violation> scan(const Retiming& r, const GraphTiming& t,
-                              const Ids& p2_edges, const Ids& p1_vertices,
-                              std::span<const char> movers) const;
 
   const RetimingGraph* g_;
   TimingParams params_;

@@ -54,7 +54,7 @@ void GraphTiming::relabel_forward(const Retiming& r, VertexId v) {
   arrival_[v] = g_->vertex(v).delay + in_arrival;
 }
 
-bool GraphTiming::relabel_backward(const Retiming& r, VertexId v) {
+void GraphTiming::relabel_backward(const Retiming& r, VertexId v) {
   // Longest/shortest delay from v's output to the nearest downstream
   // boundary (a registered out-edge or a PO sink), plus the critical-path
   // witnesses lt/rt.
@@ -94,16 +94,11 @@ bool GraphTiming::relabel_backward(const Retiming& r, VertexId v) {
     }
     first = false;
   }
-  const bool changed =
-      maxa != max_after_[v] || mina != min_after_[v] ||
-      max_end != crit_max_end_[v] || min_end != crit_min_end_[v] ||
-      min_edge != crit_min_edge_[v];
   max_after_[v] = maxa;
   min_after_[v] = mina;
   crit_max_end_[v] = max_end;
   crit_min_end_[v] = min_end;
   crit_min_edge_[v] = min_edge;
-  return changed;
 }
 
 void GraphTiming::compute(const Retiming& r) {
@@ -119,15 +114,10 @@ void GraphTiming::compute(const Retiming& r) {
   labels_exact_ = true;
 }
 
-const TimingDelta& GraphTiming::update(const Retiming& r,
-                                       std::span<const VertexId> moved_hint) {
-  delta_.full = false;
-  delta_.wr_changed.clear();
-  delta_.relabeled.clear();
+void GraphTiming::update(const Retiming& r) {
   if (!labels_exact_) {
     compute(r);
-    delta_.full = true;
-    return delta_;
+    return;
   }
 
   const std::size_t n = g_->vertex_count();
@@ -139,24 +129,16 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
   }
 
   // 1. Vertices whose retiming label differs from the labeled state.
-  ++epoch_;
   changed_.clear();
-  auto note_changed = [&](VertexId v) {
-    if (vmark_[v] == epoch_ || r[v] == label_r_[v]) return;
-    vmark_[v] = epoch_;
-    changed_.push_back(v);
-  };
-  if (moved_hint.empty()) {
-    for (VertexId v = 0; v < n; ++v) note_changed(v);
-  } else {
-    for (VertexId v : moved_hint) note_changed(v);
-  }
+  for (VertexId v = 0; v < n; ++v)
+    if (r[v] != label_r_[v]) changed_.push_back(v);
 
   // 2. Edges whose w_r changed. The labeled state is valid (w_r >= 0
   // everywhere), so any negative edge of `r` is necessarily in this set,
   // and the precondition check costs nothing. It throws before any label
   // or label_r_ changes, so the labels stay exact for the previous state.
   ++epoch_;
+  wr_changed_.clear();
   for (VertexId v : changed_) {
     auto scan = [&](EdgeId eid) {
       if (emark_[eid] == epoch_) return;
@@ -167,18 +149,17 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
                       "GraphTiming::update needs a valid retiming: edge " +
                           std::to_string(eid) + " has w_r " +
                           std::to_string(wr_new));
-      delta_.wr_changed.push_back(eid);
+      wr_changed_.push_back(eid);
     };
     for (EdgeId eid : g_->in_edges(v)) scan(eid);
     for (EdgeId eid : g_->out_edges(v)) scan(eid);
   }
-  std::sort(delta_.wr_changed.begin(), delta_.wr_changed.end());
 
-  if (delta_.wr_changed.empty()) {
+  if (wr_changed_.empty()) {
     // Identical w_r everywhere means identical labels (they depend on r
     // only through w_r); just adopt the new representative.
     for (VertexId v : changed_) label_r_[v] = r[v];
-    return delta_;
+    return;
   }
 
   // 3. Forward cone: arrival changes start at the heads of w_r-changed
@@ -192,7 +173,7 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
     vmark_[v] = epoch_;
     cone_.push_back(v);
   };
-  for (EdgeId eid : delta_.wr_changed) add_cone(g_->edge(eid).to);
+  for (EdgeId eid : wr_changed_) add_cone(g_->edge(eid).to);
   for (std::size_t i = 0; i < cone_.size(); ++i) {
     for (EdgeId eid : g_->out_edges(cone_[i]))
       if (g_->wr(eid, r) == 0) add_cone(g_->edge(eid).to);
@@ -224,7 +205,7 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
   // in-edges, relabeled in reverse topological order.
   ++epoch_;
   cone_.clear();
-  for (EdgeId eid : delta_.wr_changed) add_cone(g_->edge(eid).from);
+  for (EdgeId eid : wr_changed_) add_cone(g_->edge(eid).from);
   for (std::size_t i = 0; i < cone_.size(); ++i) {
     for (EdgeId eid : g_->in_edges(cone_[i]))
       if (g_->wr(eid, r) == 0) add_cone(g_->edge(eid).from);
@@ -240,7 +221,7 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
     if (pending_[v] == 0) queue_.push_back(v);
   for (std::size_t i = 0; i < queue_.size(); ++i) {
     const VertexId v = queue_[i];
-    if (relabel_backward(r, v)) delta_.relabeled.push_back(v);
+    relabel_backward(r, v);
     for (EdgeId eid : g_->in_edges(v)) {
       if (g_->wr(eid, r) != 0) continue;
       const VertexId t = g_->edge(eid).from;
@@ -252,9 +233,7 @@ const TimingDelta& GraphTiming::update(const Retiming& r,
   touched += static_cast<std::int64_t>(cone_.size());
   SERELIN_COUNT(kIncrNodesTouched, touched);
 
-  std::sort(delta_.relabeled.begin(), delta_.relabeled.end());
   for (VertexId v : changed_) label_r_[v] = r[v];
-  return delta_;
 }
 
 }  // namespace serelin

@@ -29,34 +29,15 @@
 // (O(cone) instead of O(|V|+|E|) per solver move). The relabeled values are
 // bit-identical to a from-scratch compute(r) — each cone vertex is
 // recomputed with the exact compute() loop body, reading already-final
-// neighbour labels — so solvers can switch between the two freely. The
-// returned TimingDelta additionally names what changed, which lets the
-// constraint checker scan only dirty edges/vertices (see constraints.hpp).
+// neighbour labels — so solvers can switch between the two freely.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "rgraph/retiming_graph.hpp"
 #include "timing/params.hpp"
 
 namespace serelin {
-
-/// What a GraphTiming::update() call changed. Lifetime: valid until the
-/// next compute()/update() on the same GraphTiming.
-struct TimingDelta {
-  /// A full recompute ran (labels were not exact before the call); the
-  /// dirty sets below are not populated.
-  bool full = false;
-  /// Edges whose w_r differs from the previously labeled retiming,
-  /// ascending. Empty when `full`.
-  std::vector<EdgeId> wr_changed;
-  /// Vertices whose backward labels (max_after/min_after/lt/rt/
-  /// crit_min_edge) changed, ascending. Arrival-only changes are not
-  /// listed: the constraint predicates never read arrival. Empty when
-  /// `full`.
-  std::vector<VertexId> relabeled;
-};
 
 class GraphTiming {
  public:
@@ -72,13 +53,9 @@ class GraphTiming {
   /// w_r = 0 subgraph of an invalid retiming is not a meaningful DAG, so
   /// an edge whose w_r changes to a negative value throws
   /// PreconditionError and leaves the labels at the previous state.
-  ///
-  /// `moved_hint`, when non-empty, must be a superset of the vertices
-  /// whose r differs from the last labeled state (duplicates fine); it
-  /// skips the O(|V|) diff scan. Falls back to a full compute when no
-  /// labels exist yet.
-  const TimingDelta& update(const Retiming& r,
-                            std::span<const VertexId> moved_hint = {});
+  /// Finds the changed vertices by an O(|V|) diff against the labeled
+  /// retiming; falls back to a full compute when no labels exist yet.
+  void update(const Retiming& r);
 
   const TimingParams& params() const { return params_; }
 
@@ -104,8 +81,8 @@ class GraphTiming {
   /// Recomputes arrival(v) from its (already final) w_r = 0 fanins.
   void relabel_forward(const Retiming& r, VertexId v);
   /// Recomputes the five backward labels of v from its (already final)
-  /// w_r = 0 fanouts; returns true when any of them changed.
-  bool relabel_backward(const Retiming& r, VertexId v);
+  /// w_r = 0 fanouts.
+  void relabel_backward(const Retiming& r, VertexId v);
 
   const RetimingGraph* g_;
   TimingParams params_;
@@ -121,12 +98,12 @@ class GraphTiming {
   // epoch-stamped scratch so updates allocate nothing in steady state.
   Retiming label_r_;
   bool labels_exact_ = false;
-  TimingDelta delta_;
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> vmark_;
   std::vector<std::uint64_t> emark_;
   std::vector<std::uint32_t> pending_;
   std::vector<VertexId> changed_;
+  std::vector<EdgeId> wr_changed_;
   std::vector<VertexId> cone_;
   std::vector<VertexId> queue_;
 };

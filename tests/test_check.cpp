@@ -314,7 +314,7 @@ TEST(CrossCheck, IncrementalTimingValidatesAfterUpdates) {
     if (!ok) continue;
     r[v] += inc ? 1 : -1;
     ++applied;
-    t.update(r, std::span<const VertexId>(&v, 1));
+    t.update(r);
   }
   ASSERT_GT(applied, 0);
   const CrossCheckResult res = cross_check_incremental_timing(g, t, r);

@@ -1,7 +1,7 @@
 // Crash-safety contract tests (docs/ROBUSTNESS.md §11): journal framing
 // and torn-tail recovery against the committed corpus, checkpoint
 // encode/decode bit-exactness and loud rejection of damage, the
-// CheckpointSink's deterministic rate limit, the MinObsWin progress
+// CheckpointSink's context sections, the MinObsWin progress
 // snapshot's round trip (SolverProgress and ForestState), resume-equals-
 // fresh on a real solve, and the pipeline fingerprint's sensitivity
 // boundary.
@@ -250,49 +250,37 @@ TEST(CrashSafeCheckpoint, SaveLoadAndMissingFile) {
   EXPECT_THROW(load_checkpoint(path, loaded), ParseError);
 }
 
-TEST(CrashSafeCheckpoint, SinkRateLimitIsDeterministic) {
+TEST(CrashSafeCheckpoint, WithSectionPrependsContext) {
   TempDir tmp;
-  CheckpointSink sink(tmp.path("ck.bin"), "test", 7, /*every=*/3);
+  CheckpointSink base(tmp.path("ck.bin"), "test", 7);
+  CheckpointSink staged = base.with_section("pipeline", "stage-blob");
   int fills = 0;
   const auto fill = [&fills](CheckpointImage& image) {
     image.sections.emplace_back("n", std::to_string(fills));
     ++fills;
   };
-  for (int i = 0; i < 7; ++i) sink.offer(fill);
-  EXPECT_EQ(fills, 3);  // offers #1, #4, #7: the first, then every 3rd
-  sink.force(fill);
-  EXPECT_EQ(fills, 4);  // force is unconditional
-  EXPECT_TRUE(sink.healthy());
+  staged.offer(fill);
+  EXPECT_EQ(fills, 1);  // every offer persists
   CheckpointImage image;
   ASSERT_TRUE(load_checkpoint(tmp.path("ck.bin"), image));
   EXPECT_EQ(image.kind, "test");
   EXPECT_EQ(image.fingerprint, 7u);
-  ASSERT_NE(image.find("n"), nullptr);
-  EXPECT_EQ(*image.find("n"), "3");  // the forced (last) snapshot
-}
-
-TEST(CrashSafeCheckpoint, WithSectionPrependsContextAndSharesTheCounter) {
-  TempDir tmp;
-  CheckpointSink base(tmp.path("ck.bin"), "test", 1, /*every=*/2);
-  CheckpointSink staged = base.with_section("pipeline", "stage-blob");
-  int fills = 0;
-  const auto fill = [&fills](CheckpointImage&) { ++fills; };
-  staged.offer(fill);  // offer #1 -> writes
-  base.offer(fill);    // offer #2 on the SAME counter -> skipped
-  staged.offer(fill);  // offer #3 -> writes
-  EXPECT_EQ(fills, 2);
-  CheckpointImage image;
-  ASSERT_TRUE(load_checkpoint(tmp.path("ck.bin"), image));
-  ASSERT_FALSE(image.sections.empty());
+  ASSERT_EQ(image.sections.size(), 2u);
   EXPECT_EQ(image.sections.front().first, "pipeline");
   EXPECT_EQ(image.sections.front().second, "stage-blob");
+  EXPECT_EQ(*image.find("n"), "0");
+  // The base sink adds no context of its own.
+  base.offer(fill);
+  ASSERT_TRUE(load_checkpoint(tmp.path("ck.bin"), image));
+  ASSERT_EQ(image.sections.size(), 1u);
+  EXPECT_EQ(*image.find("n"), "1");
 }
 
 TEST(CrashSafeCheckpoint, SinkDegradesToUnhealthyInsteadOfThrowing) {
   TempDir tmp;
-  CheckpointSink sink(tmp.path("no-such-dir") + "/ck.bin", "test", 1, 1);
+  CheckpointSink sink(tmp.path("no-such-dir") + "/ck.bin", "test", 1);
   EXPECT_TRUE(sink.healthy());
-  EXPECT_NO_THROW(sink.force([](CheckpointImage&) {}));
+  EXPECT_NO_THROW(sink.offer([](CheckpointImage&) {}));
   EXPECT_FALSE(sink.healthy());
   EXPECT_NO_THROW(sink.offer([](CheckpointImage&) {}));
 }
@@ -382,15 +370,14 @@ TEST(CrashSafeResume, MinObsWinFromFirstCommitSnapshotMatchesFresh) {
   opt.rmin = init.rmin;
   const SolverResult fresh = MinObsWinSolver(g, gains, opt).solve(init.r);
   ASSERT_FALSE(fresh.exited_early);
-  ASSERT_GT(fresh.commits, 0);
+  // Every commit persists, and this solve commits once, so the checkpoint
+  // holds the first commit's snapshot and resume() still has the
+  // converging passes to run.
+  ASSERT_EQ(fresh.commits, 1);
 
-  // `every` is huge, so only the FIRST offer (the first commit) persists:
-  // the checkpoint freezes the solve at its earliest interesting point and
-  // resume() has real work left to do.
   TempDir tmp;
   SolverOptions ck = opt;
-  ck.checkpoint =
-      CheckpointSink(tmp.path("ck.bin"), "test", 1, /*every=*/1 << 30);
+  ck.checkpoint = CheckpointSink(tmp.path("ck.bin"), "test", 1);
   (void)MinObsWinSolver(g, gains, ck).solve(init.r);
   CheckpointImage image;
   ASSERT_TRUE(load_checkpoint(tmp.path("ck.bin"), image));
@@ -430,8 +417,6 @@ TEST(CrashSafePipeline, FingerprintCoversResultsNotBudgets) {
   // computes — a resumed run may legally carry different budgets.
   changed = po;
   changed.stage_budget_s = 99.0;
-  changed.retry_factor = 5.0;
-  changed.checkpoint_every = 1;
   changed.journal_path = "elsewhere.jsonl";
   changed.checkpoint_path = "elsewhere.bin";
   EXPECT_EQ(pipeline_fingerprint(nl, changed), base);
@@ -481,7 +466,6 @@ TEST(CrashSafePipeline, InProcessResumeReachesTheIdenticalResult) {
   po.sim.warmup = 8;
   po.journal_path = tmp.path("journal.jsonl");
   po.checkpoint_path = tmp.path("ck.bin");
-  po.checkpoint_every = 1;
   const PipelineResult fresh = run_pipeline(nl, lib, po);
   ASSERT_TRUE(fresh.ok);
   ASSERT_TRUE(fs::exists(po.checkpoint_path));
@@ -505,6 +489,31 @@ TEST(CrashSafePipeline, InProcessResumeReachesTheIdenticalResult) {
   // A checkpoint from a different circuit is refused, never replayed.
   const Netlist other = resume_circuit(0x5eed0005ULL);
   EXPECT_THROW(run_pipeline(other, lib, rp), Error);
+}
+
+TEST(CrashSafePipeline, CheckpointHoldsTheLastCommit) {
+  // Every MinObsWin commit persists, so after a run that commits more than
+  // once the checkpoint's solver section is the final commit's snapshot.
+  const Netlist nl = resume_circuit(0x5eed000eULL);
+  CellLibrary lib;
+  TempDir tmp;
+  PipelineOptions po;
+  po.sim.patterns = 128;
+  po.sim.frames = 4;
+  po.sim.warmup = 8;
+  po.checkpoint_path = tmp.path("ck.bin");
+  const PipelineResult res = run_pipeline(nl, lib, po);
+  ASSERT_TRUE(res.ok);
+  ASSERT_EQ(res.stage, PipelineStage::kMinObsWin);
+  ASSERT_GE(res.solver.commits, 2);
+
+  CheckpointImage image;
+  ASSERT_TRUE(load_checkpoint(po.checkpoint_path, image));
+  ASSERT_NE(image.find("solver"), nullptr);
+  const SolverProgress progress = SolverProgress::decode(*image.find("solver"));
+  EXPECT_EQ(progress.commits, res.solver.commits);
+  EXPECT_EQ(progress.r, res.solver.r);
+  EXPECT_EQ(progress.objective_gain, res.solver.objective_gain);
 }
 
 }  // namespace serelin

@@ -3,6 +3,7 @@
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
+#include "support/strings.hpp"
 #include "timing/elw.hpp"
 #include "timing/graph_timing.hpp"
 
@@ -54,8 +55,8 @@ TEST(Elw, DisjointWindows) {
   nb.dff("d0", "b");
   std::string prev = "b";
   for (int i = 0; i < 5; ++i) {
-    nb.gate("q" + std::to_string(i), CellType::kBuf, {prev});
-    prev = "q" + std::to_string(i);
+    nb.gate(numbered("q", i), CellType::kBuf, {prev});
+    prev = numbered("q", i);
   }
   nb.dff("d1", prev);
   nb.gate("o", CellType::kAnd, {"d0", "d1"});

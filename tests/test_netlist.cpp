@@ -8,6 +8,7 @@
 #include "netlist/cell_library.hpp"
 #include "netlist/netlist.hpp"
 #include "support/check.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 namespace {
@@ -214,7 +215,7 @@ TEST(Builder, DeepChainNoStackOverflow) {
   b.input("x");
   std::string prev = "x";
   for (int i = 0; i < 60000; ++i) {
-    const std::string cur = "n" + std::to_string(i);
+    const std::string cur = numbered("n", i);
     b.gate(cur, CellType::kNot, {prev});
     prev = cur;
   }

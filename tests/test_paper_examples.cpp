@@ -16,6 +16,7 @@
 #include "netlist/builder.hpp"
 #include "rgraph/apply.hpp"
 #include "ser/ser_analyzer.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 namespace {
@@ -68,7 +69,7 @@ TEST(Fig1Example, MoveEnlargesUpstreamElws) {
   const ElwResult before_elw = compute_elw(fx.nl, fx.lib, tp);
   const ElwResult after_elw = compute_elw(after, fx.lib, tp);
   for (int i = 1; i <= kLadder; ++i) {
-    const std::string a = "a" + std::to_string(i);
+    const std::string a = numbered("a", i);
     EXPECT_GT(after_elw.elw[after.find(a)].measure(),
               before_elw.elw[fx.nl.find(a)].measure() + 0.5)
         << a;

@@ -22,6 +22,7 @@
 #include "support/deadline.hpp"
 #include "support/diag.hpp"
 #include "support/parallel.hpp"
+#include "support/strings.hpp"
 #include "support/sync.hpp"
 
 namespace serelin {
@@ -331,7 +332,7 @@ TEST(ParallelDiag, LaneCapKeepsCountsExact) {
   set_execution_threads(2);
   LaneDiagnostics lanes(parallel_workers(), /*max_stored=*/4);
   parallel_for(0, 100, 1, [&](std::size_t i, int lane) {
-    lanes.error(lane, i, DiagCode::kOracleLegality, "e" + std::to_string(i));
+    lanes.error(lane, i, DiagCode::kOracleLegality, numbered("e", i));
   });
   EXPECT_EQ(lanes.error_count(), 100u);  // capped storage, exact totals
   DiagnosticSink merged;

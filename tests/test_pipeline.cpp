@@ -218,7 +218,6 @@ TEST(Pipeline, CheckpointedMinAreaRunResumesToTheFreshResult) {
   PipelineOptions po = fast_options();
   po.start = PipelineStage::kMinArea;
   po.checkpoint_path = temp_path("minarea.ckpt");
-  po.checkpoint_every = 1;
   std::filesystem::remove(po.checkpoint_path);
   const PipelineResult fresh = run_pipeline(nl, lib, po);
   ASSERT_TRUE(fresh.ok);

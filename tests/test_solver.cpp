@@ -12,6 +12,7 @@
 #include "sim/graph_sim.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 namespace {
@@ -190,10 +191,10 @@ Netlist p0_chain_circuit(int k) {
   std::string a = "fa";
   std::string b = "fb";
   for (int i = 1; i <= k; ++i) {
-    nb.gate("a" + std::to_string(i), CellType::kBuf, {a});
-    nb.gate("b" + std::to_string(i), CellType::kBuf, {b});
-    a = "a" + std::to_string(i);
-    b = "b" + std::to_string(i);
+    nb.gate(numbered("a", i), CellType::kBuf, {a});
+    nb.gate(numbered("b", i), CellType::kBuf, {b});
+    a = numbered("a", i);
+    b = numbered("b", i);
   }
   nb.gate("g", CellType::kAnd, {a, b});
   nb.gate("h", CellType::kAnd, {"g", "m"});
@@ -212,8 +213,8 @@ TEST_P(SolverP0Chain, OneProbePerCommitAndClosureSolverAgrees) {
   gains.gain.assign(g.vertex_count(), 0);
   gains.gain[g.vertex_of(nl.find("g"))] = 10;
   for (int i = 1; i <= k; ++i) {
-    gains.gain[g.vertex_of(nl.find("a" + std::to_string(i)))] = -1;
-    gains.gain[g.vertex_of(nl.find("b" + std::to_string(i)))] = -1;
+    gains.gain[g.vertex_of(nl.find(numbered("a", i)))] = -1;
+    gains.gain[g.vertex_of(nl.find(numbered("b", i)))] = -1;
   }
   SolverOptions opt;
   opt.timing = {40.0, 0.0, 2.0};

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -294,7 +293,7 @@ int main(int argc, char** argv) {
                 if (g.wr(e, r) < 1) { ok = false; break; }
               if (!ok) continue;
               r[mv] += inc ? 1 : -1;
-              timing.update(r, std::span<const VertexId>(&mv, 1));
+              timing.update(r);
               ++applied;
             }
             std::vector<double> labels;

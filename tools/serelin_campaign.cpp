@@ -190,7 +190,7 @@ Options parse_args(int argc, char** argv) {
       have_dir = true;
       continue;
     }
-    if ((" " + std::string(cmd.flags) + " ").find(" " + a + " ") ==
+    if ((std::string(" ") + cmd.flags + " ").find(" " + a + " ") ==
         std::string::npos)
       usage(std::string(cmd.name) + " does not take " + a);
     const auto value = [&]() -> const char* {
@@ -705,9 +705,6 @@ PipelineOptions trial_options(const std::string& scratch, bool durable) {
   if (durable) {
     po.journal_path = scratch + "/journal.jsonl";
     po.checkpoint_path = scratch + "/ck.bin";
-    // Persist every offer: the densest snapshot schedule, hence the most
-    // crash points and the sharpest resume granularity.
-    po.checkpoint_every = 1;
   }
   return po;
 }
