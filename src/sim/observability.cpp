@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "support/check.hpp"
+#include "support/metrics.hpp"
 #include "support/parallel.hpp"
 #include "support/trace.hpp"
 
@@ -38,20 +39,25 @@ FrameStimulus record_frames(const Netlist& nl, const SimConfig& cfg) {
   Rng rng(cfg.seed);
   Simulator sim(nl, words);
   sim.reset_state();
-  sim.run_random_cycles(cfg.warmup, rng);
 
   FrameStimulus stim;
   stim.inputs.assign(cfg.frames, {});
   stim.states.assign(cfg.frames, {});
-  for (int f = 0; f < cfg.frames; ++f) {
-    auto& in = stim.inputs[f];
-    in.reserve(nl.inputs().size() * static_cast<std::size_t>(words));
+  // Warm-up cycles, then the recorded frames; the deadline is polled once
+  // per simulated cycle, before its evaluation.
+  for (int c = 0; c < cfg.warmup + cfg.frames; ++c) {
+    cfg.deadline.check("observability stimulus recording");
     sim.randomize_inputs(rng);
-    for (NodeId pi : nl.inputs()) {
-      auto v = sim.value(pi);
-      in.insert(in.end(), v.begin(), v.end());
+    if (const int f = c - cfg.warmup; f >= 0) {
+      auto& in = stim.inputs[f];
+      in.reserve(nl.inputs().size() * static_cast<std::size_t>(words));
+      for (NodeId pi : nl.inputs()) {
+        auto v = sim.value(pi);
+        in.insert(in.end(), v.begin(), v.end());
+      }
+      stim.states[f].assign(sim.state_plane().begin(),
+                            sim.state_plane().end());
     }
-    stim.states[f].assign(sim.state_plane().begin(), sim.state_plane().end());
     sim.eval_frame();
     sim.step();
   }
@@ -71,30 +77,26 @@ ObsResult ObservabilityAnalyzer::run() {
 ObsResult ObservabilityAnalyzer::run_signature(
     const FrameStimulus& stim) const {
   SERELIN_SPAN("obs/signature");
-  const std::size_t n_nodes = nl_->node_count();
-  const std::size_t plane = n_nodes * static_cast<std::size_t>(words_);
-  Simulator sim(*nl_, words_);
+  const Netlist& nl = *nl_;
+  const std::size_t n_nodes = nl.node_count();
+  const std::size_t words = static_cast<std::size_t>(words_);
+  Simulator sim(nl, words_);
 
-  // Reverse evaluation order: gates in reverse topological order first,
-  // then every source node (whose fanouts are all gates or cross-frame).
-  std::vector<NodeId> reverse_order(nl_->gate_order().rbegin(),
-                                    nl_->gate_order().rend());
-  for (NodeId id = 0; id < n_nodes; ++id)
-    if (!is_gate(nl_->node(id).type)) reverse_order.push_back(id);
+  // Gate fanin pins: sim-odc-words counts one per pin, word and frame.
+  std::size_t pins = 0;
+  for (NodeId g : nl.gate_order()) pins += nl.node(g).fanins.size();
 
-  std::vector<std::uint64_t> odc(plane, 0);
+  std::vector<std::uint64_t> odc(n_nodes * words, 0);
   // ODC of each flip-flop node in frame i+1, indexed by dff position.
-  std::vector<std::uint64_t> odc_next(
-      nl_->dff_count() * static_cast<std::size_t>(words_), 0);
-  std::vector<std::uint32_t> dff_index(n_nodes, 0);
-  for (std::size_t i = 0; i < nl_->dffs().size(); ++i)
-    dff_index[nl_->dffs()[i]] = static_cast<std::uint32_t>(i);
-
-  // Per-worker fanin gather buffers for the word-block fan-out below.
-  std::vector<std::vector<std::uint64_t>> gathers(
-      static_cast<std::size_t>(parallel_workers()));
-  ObsResult out;
-  out.obs.assign(n_nodes, 0.0);
+  std::vector<std::uint64_t> odc_next(nl.dff_count() * words, 0);
+  // One word block per lane: word w of every ODC mask depends only on word
+  // w of the value plane and of the fanout masks, so each block is swept
+  // independently and any thread count produces the same bits. Blocks are
+  // whole 8-word (64-byte) lines, so a plane of 8 words or fewer is swept
+  // inline: every lane walks the whole gate order, and blocks shorter than
+  // a line measured slower than one inline sweep (EXPERIMENTS.md).
+  const std::size_t lanes = static_cast<std::size_t>(parallel_workers());
+  const std::size_t block = ((words + lanes - 1) / lanes + 7) / 8 * 8;
 
   for (int frame = cfg_.frames - 1; frame >= 0; --frame) {
     // Per-frame checkpoint: a partial ODC plane is not a valid
@@ -104,75 +106,85 @@ ObsResult ObservabilityAnalyzer::run_signature(
     sim.load_state(stim.states[frame]);
     stim.load_inputs(frame, sim);
     sim.eval_frame();
-
     const bool last_frame = (frame == cfg_.frames - 1);
-    // The backward ODC pass is independent across pattern words: word w of
-    // every ODC mask depends only on word w of the value plane and of the
-    // already-computed fanout masks. Batch the words into blocks, one
-    // parallel task per block — each task sweeps the whole reverse order
-    // for its disjoint word columns, so any thread count produces the same
-    // bits.
     const Simulator& csim = sim;
-    parallel_for_chunks(
-        0, static_cast<std::size_t>(words_), 1,
-        [&](std::size_t w0, std::size_t w1, int lane) {
-          auto& gather = gathers[static_cast<std::size_t>(lane)];
-          for (NodeId v : reverse_order) {
-            std::uint64_t* odc_v =
-                odc.data() + static_cast<std::size_t>(v) * words_;
-            const std::uint64_t seed_mask =
-                nl_->is_output(v) ? ~0ULL : 0ULL;
-            for (std::size_t w = w0; w < w1; ++w) odc_v[w] = seed_mask;
-            for (NodeId f : nl_->node(v).fanouts) {
-              const Node& fn = nl_->node(f);
-              if (fn.type == CellType::kDff) {
-                // Cross-frame: the register stores v, visible next frame
-                // (or captured as a pseudo-output after the last frame).
-                if (last_frame) {
-                  for (std::size_t w = w0; w < w1; ++w) odc_v[w] = ~0ULL;
-                } else {
-                  const std::uint64_t* nx =
-                      odc_next.data() +
-                      static_cast<std::size_t>(dff_index[f]) * words_;
-                  for (std::size_t w = w0; w < w1; ++w) odc_v[w] |= nx[w];
-                }
-                continue;
-              }
-              // Local sensitivity of fanout gate f to a flip of v, masked
-              // by f's own ODC (already computed: f is topologically after
-              // v).
-              const std::uint64_t* odc_f =
-                  odc.data() + static_cast<std::size_t>(f) * words_;
-              gather.resize(fn.fanins.size());
-              auto fv = csim.value(f);
-              for (std::size_t w = w0; w < w1; ++w) {
-                for (std::size_t k = 0; k < fn.fanins.size(); ++k) {
-                  std::uint64_t word = csim.value(fn.fanins[k])[w];
-                  if (fn.fanins[k] == v) word = ~word;
-                  gather[k] = word;
-                }
-                const std::uint64_t flipped =
-                    eval_cell(fn.type, {gather.data(), fn.fanins.size()});
-                odc_v[w] |= (flipped ^ fv[w]) & odc_f[w];
+
+    parallel_for_chunks(0, words, block, [&](std::size_t w0, std::size_t w1,
+                                             int /*lane*/) {
+      const std::size_t len = w1 - w0;
+      const auto val = [&](NodeId v) { return csim.value(v).data() + w0; };
+      const auto odc_of = [&](NodeId v) {
+        return odc.data() + static_cast<std::size_t>(v) * words + w0;
+      };
+      // Seed: every primary output is observed in every frame.
+      for (NodeId v = 0; v < n_nodes; ++v)
+        std::fill_n(odc_of(v), len, nl.is_output(v) ? ~0ULL : 0ULL);
+      // Cross-frame: a register stores the net on its D pin, visible
+      // through the register's ODC in the next frame (or captured as a
+      // pseudo-output after the last frame).
+      for (std::size_t i = 0; i < nl.dff_count(); ++i) {
+        std::uint64_t* d = odc_of(nl.node(nl.dffs()[i]).fanins[0]);
+        const std::uint64_t* nx = odc_next.data() + i * words + w0;
+        for (std::size_t w = 0; w < len; ++w)
+          d[w] |= last_frame ? ~0ULL : nx[w];
+      }
+      // Push, gates in reverse topological order: every fanout of a gate
+      // has pushed into it already, so its ODC is complete. Each net u the
+      // gate reads gains sens_u & ODC(gate), sens_u the local Boolean
+      // difference of the gate in u; a flip of u flips every pin reading u.
+      const auto& order = nl.gate_order();
+      for (auto it = order.rbegin(); it != order.rend(); ++it) {
+        const Node& g = nl.node(*it);
+        const std::uint64_t* odc_g = odc_of(*it);
+        switch (g.type) {
+          case CellType::kAnd:
+          case CellType::kNand:
+          case CellType::kOr:
+          case CellType::kNor: {
+            // A flip of u shows iff every pin reading another net is
+            // non-controlling: 1 for AND/NAND, 0 for OR/NOR.
+            const std::uint64_t flip =
+                g.type == CellType::kOr || g.type == CellType::kNor ? ~0ULL
+                                                                    : 0ULL;
+            for (const NodeId u : g.fanins) {
+              std::uint64_t* odc_u = odc_of(u);
+              for (std::size_t w = 0; w < len; ++w) {
+                std::uint64_t sens = odc_g[w];
+                for (const NodeId x : g.fanins)
+                  if (x != u) sens &= val(x)[w] ^ flip;
+                odc_u[w] |= sens;
               }
             }
+            break;
           }
-        });
+          default:  // kBuf, kNot, kXor, kXnor: a flip of u shows iff it
+                    // flips an odd number of pins
+            for (const NodeId u : g.fanins) {
+              if (std::count(g.fanins.begin(), g.fanins.end(), u) % 2 == 0)
+                continue;
+              std::uint64_t* odc_u = odc_of(u);
+              for (std::size_t w = 0; w < len; ++w) odc_u[w] |= odc_g[w];
+            }
+            break;
+        }
+      }
+      SERELIN_COUNT(kSimOdcWords, static_cast<std::int64_t>(pins * len));
+    });
 
     // Snapshot flip-flop ODCs for the next (earlier) frame's cross terms.
-    for (std::size_t i = 0; i < nl_->dffs().size(); ++i) {
+    for (std::size_t i = 0; i < nl.dff_count(); ++i) {
       const std::uint64_t* src =
-          odc.data() + static_cast<std::size_t>(nl_->dffs()[i]) * words_;
-      std::copy(src, src + words_,
-                odc_next.begin() + static_cast<std::ptrdiff_t>(i * words_));
+          odc.data() + static_cast<std::size_t>(nl.dffs()[i]) * words;
+      std::copy(src, src + words,
+                odc_next.begin() + static_cast<std::ptrdiff_t>(i * words));
     }
   }
 
+  ObsResult out;
+  out.obs.assign(n_nodes, 0.0);
   for (NodeId v = 0; v < n_nodes; ++v)
-    out.obs[v] = popcount_fraction(
-        {odc.data() + static_cast<std::size_t>(v) * words_,
-         static_cast<std::size_t>(words_)},
-        cfg_.patterns);
+    out.obs[v] = popcount_fraction({odc.data() + v * words, words},
+                                   cfg_.patterns);
   return out;
 }
 

@@ -20,6 +20,26 @@
 // exact_observability (src/check); both analyse the stimulus that
 // record_frames records, so they see the same patterns by construction.
 //
+// The pass is a push, frame by frame from the last: every node's mask is
+// seeded with its PO mask, each flip-flop's cross-frame term (all ones
+// after the last frame, else the flip-flop's mask in the next frame) is
+// ORed into the net on its D pin, and gates are walked in reverse
+// topological order, each ORing sens_u & O(gate) into every net u it
+// reads. sens_u is the local Boolean difference of the gate in u, applied
+// bitwise (the sensitization rules of Asadi & Tahoori's
+// propagation-probability estimator); a flip of u flips every pin that
+// reads u, so
+//     AND/NAND        the AND of the pins reading other nets,
+//     OR/NOR          the AND of those pins' complements,
+//     BUF/NOT/XOR/XNOR  all ones if u is read on an odd number of pins,
+//                       else zero (XOR(a,a) never changes).
+// Each rule equals flipping u, re-evaluating and XORing with the gate's
+// value, and OR is order-free, so the push gives the masks of that
+// flip-and-compare formulation bit for bit. Word w of every mask depends
+// only on word w of the values and of the fanout masks, so each lane
+// sweeps one block of whole 64-byte lines of pattern words and any thread
+// count gives the same bits.
+//
 // Flip-flop nodes get an observability too (the visibility of an upset of
 // their stored bit); the paper's register-observability model obs(reg) =
 // obs(driving gate) is what the retiming objective uses, while the values
@@ -55,7 +75,8 @@ struct FrameStimulus {
 /// Simulates cfg.warmup random cycles from the all-zero state, then
 /// records the inputs and register state of cfg.frames further random
 /// cycles. Deterministic for a fixed config (the patterns come from
-/// cfg.seed alone).
+/// cfg.seed alone). Polls cfg.deadline before every simulated cycle; an
+/// expired deadline throws CancelledError.
 FrameStimulus record_frames(const Netlist& nl, const SimConfig& cfg);
 
 class ObservabilityAnalyzer {

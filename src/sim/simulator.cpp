@@ -12,10 +12,6 @@ Simulator::Simulator(const Netlist& nl, int words) : nl_(&nl), words_(words) {
   SERELIN_REQUIRE(words > 0, "need at least one simulation word");
   values_.assign(nl.node_count() * static_cast<std::size_t>(words), 0);
   state_.assign(nl.dff_count() * static_cast<std::size_t>(words), 0);
-  std::size_t max_arity = 1;
-  for (NodeId id = 0; id < nl.node_count(); ++id)
-    max_arity = std::max(max_arity, nl.node(id).fanins.size());
-  scratch_.assign(max_arity, 0);
 }
 
 void Simulator::reset_state() {
@@ -54,15 +50,10 @@ void Simulator::eval_frame() {
       std::fill(v.begin(), v.end(), ~0ULL);
     }
   }
-  // Gates in topological order.
+  // Gates in topological order, each over whole fanin rows.
   for (NodeId id : nl_->gate_order()) {
     const Node& n = nl_->node(id);
-    auto out = value(id);
-    for (int w = 0; w < words_; ++w) {
-      for (std::size_t f = 0; f < n.fanins.size(); ++f)
-        scratch_[f] = values_[static_cast<std::size_t>(n.fanins[f]) * words_ + w];
-      out[w] = eval_cell(n.type, {scratch_.data(), n.fanins.size()});
-    }
+    eval_cell_rows(n.type, n.fanins, values_.data(), value(id));
   }
   SERELIN_COUNT(kSimPatternWords,
                 static_cast<std::int64_t>(nl_->gate_order().size()) * words_);
@@ -75,14 +66,6 @@ void Simulator::step() {
     auto src = value(driver);
     auto dst = state(i);
     std::copy(src.begin(), src.end(), dst.begin());
-  }
-}
-
-void Simulator::run_random_cycles(int cycles, Rng& rng) {
-  for (int c = 0; c < cycles; ++c) {
-    randomize_inputs(rng);
-    eval_frame();
-    step();
   }
 }
 

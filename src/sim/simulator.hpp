@@ -9,6 +9,11 @@
 // take their stored state, primary inputs take caller-provided (usually
 // random) words, gates evaluate in topological order. step() then captures
 // every flip-flop's D-driver value as the next state.
+//
+// Gates evaluate row by row (eval_cell_rows, netlist/cell): one type switch
+// per gate, then each fanin's whole row of words is folded into the gate's
+// row with &=, |= or ^=, so the inner loop is a straight word sweep with no
+// per-word fanin gather.
 #pragma once
 
 #include <cstdint>
@@ -66,15 +71,11 @@ class Simulator {
   /// Latches D-driver values into the register state (the clock edge).
   void step();
 
-  /// Convenience: `cycles` frames of (randomize, eval, step).
-  void run_random_cycles(int cycles, Rng& rng);
-
  private:
   const Netlist* nl_;
   int words_;
   std::vector<std::uint64_t> values_;  // node plane
   std::vector<std::uint64_t> state_;   // dff plane
-  std::vector<std::uint64_t> scratch_; // fanin gather buffer
 };
 
 }  // namespace serelin

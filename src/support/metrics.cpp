@@ -27,6 +27,7 @@ const char* counter_name(Counter c) {
     case Counter::kIncrNodesTouched: return "incr-nodes-touched";
     case Counter::kElwIntervalOps: return "elw-interval-ops";
     case Counter::kSimPatternWords: return "sim-pattern-words";
+    case Counter::kSimOdcWords: return "sim-odc-words";
     case Counter::kObsFlips: return "obs-flips";
     case Counter::kSerTerms: return "ser-terms";
     case Counter::kOracleChecks: return "oracle-checks";

@@ -54,6 +54,7 @@ enum class Counter : std::uint16_t {
   kIncrNodesTouched, ///< vertices relabeled by incremental timing updates
   kElwIntervalOps,   ///< interval-set ops (insert/unite/shift/clamp)
   kSimPatternWords,  ///< 64-pattern value words evaluated by the simulator
+  kSimOdcWords,      ///< signature pass: gate fanin pins x ODC words x frames
   kObsFlips,         ///< exact-observability flip-and-resimulate runs
   kSerTerms,         ///< per-cell Eq. (4) contribution terms
   kOracleChecks,     ///< oracle invariant checks executed

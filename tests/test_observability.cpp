@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "check/exact_observability.hpp"
+#include "gen/paper_suite.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
 #include "sim/observability.hpp"
+#include "support/corpus.hpp"
 
 namespace serelin {
 namespace {
@@ -95,6 +99,29 @@ TEST(Observability, SignatureMatchesExactOnTrees) {
     EXPECT_DOUBLE_EQ(approx.obs[id], exact.obs[id]) << nl.node(id).name;
 }
 
+TEST(Observability, SignatureMatchesExactWithRepeatedFanins) {
+  // Each gate below reads one net on two pins, so a flip of that net flips
+  // both pins at once: XOR(a,a) never changes, NAND(b,c,b) changes iff c,
+  // NOR(d,d,e) iff !e. The circuit is fanout-free, so the signature pass
+  // must equal the exact reference bit for bit.
+  NetlistBuilder nb("repeated");
+  for (const char* pi : {"a", "b", "c", "d", "e"}) nb.input(pi);
+  nb.gate("x", CellType::kXor, {"a", "a"});
+  nb.gate("y", CellType::kNand, {"b", "c", "b"});
+  nb.gate("z", CellType::kNor, {"d", "d", "e"});
+  nb.gate("m", CellType::kAnd, {"y", "z"});
+  nb.gate("o", CellType::kOr, {"m", "x"});
+  nb.output("o");
+  const Netlist nl = nb.build();
+  const auto approx = ObservabilityAnalyzer(nl, small_cfg(1)).run();
+  const auto exact = exact_observability(nl, small_cfg(1));
+  for (NodeId id = 0; id < nl.node_count(); ++id)
+    EXPECT_DOUBLE_EQ(approx.obs[id], exact.obs[id]) << nl.node(id).name;
+  EXPECT_EQ(approx.obs[nl.find("a")], 0.0);
+  EXPECT_GT(approx.obs[nl.find("b")], 0.0);
+  EXPECT_GT(approx.obs[nl.find("d")], 0.0);
+}
+
 TEST(Observability, SignatureMatchesExactOnSequentialChain) {
   const Netlist nl = test::tiny_pipeline();
   const auto approx = ObservabilityAnalyzer(nl, small_cfg(3)).run();
@@ -135,6 +162,38 @@ TEST(Observability, DeterministicForConfig) {
   const auto a = ObservabilityAnalyzer(nl, small_cfg()).run();
   const auto b = ObservabilityAnalyzer(nl, small_cfg()).run();
   EXPECT_EQ(a.obs, b.obs);
+}
+
+// FNV-1a over the bit patterns of every obs value, in NodeId order.
+std::uint64_t obs_hash(const ObsResult& r) {
+  return content_hash({reinterpret_cast<const char*>(r.obs.data()),
+                       r.obs.size() * sizeof(double)});
+}
+
+TEST(Observability, SignatureBitsArePinned) {
+  // The hashes were recorded from the flip-and-re-evaluate formulation of
+  // the backward pass; the push formulation must reproduce them exactly.
+  // b14_1_opt holds a gate with a repeated fanin.
+  RandomCircuitSpec spec;
+  spec.gates = 600;
+  spec.dffs = 120;
+  spec.inputs = 12;
+  spec.outputs = 10;
+  spec.seed = 41;
+  const Netlist rand600 = generate_random_circuit(spec);
+  spec.gates = 1500;
+  spec.dffs = 400;
+  spec.mean_fanin = 3.0;
+  spec.seed = 97;
+  const Netlist rand1500 = generate_random_circuit(spec);
+  const Netlist b14 = generate_suite_circuit(suite_circuit("b14_1_opt"));
+  const SimConfig cfg = small_cfg(4);
+  EXPECT_EQ(hash_hex(obs_hash(ObservabilityAnalyzer(b14, cfg).run())),
+            "650027258d73e203");
+  EXPECT_EQ(hash_hex(obs_hash(ObservabilityAnalyzer(rand600, cfg).run())),
+            "b66d0e7e37e30968");
+  EXPECT_EQ(hash_hex(obs_hash(ObservabilityAnalyzer(rand1500, cfg).run())),
+            "81db498e181ce6db");
 }
 
 // Signature vs exact on random reconvergent circuits: the approximation

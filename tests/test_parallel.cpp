@@ -196,10 +196,10 @@ ObsResult signature_observability(const Netlist& nl, const SimConfig& cfg) {
 using ObsEngine = ObsResult (*)(const Netlist&, const SimConfig&);
 
 void expect_obs_identical(const Netlist& nl, ObsEngine engine,
-                          const char* what) {
+                          const char* what, int patterns = 256) {
   ThreadGuard guard;
   SimConfig cfg;
-  cfg.patterns = 256;
+  cfg.patterns = patterns;
   cfg.frames = 4;
   cfg.warmup = 6;
   set_execution_threads(1);
@@ -232,6 +232,13 @@ TEST(ParallelObservability, SignatureBitIdenticalOnPaperExample) {
 TEST(ParallelObservability, SignatureBitIdenticalOnRandomCircuit) {
   expect_obs_identical(random_circuit(400, 22), signature_observability,
                        "signature");
+}
+
+TEST(ParallelObservability, SignatureBitIdenticalOnRaggedWordBlocks) {
+  // 20 pattern words in blocks of whole 8-word lines: 16 + 4 words at 2
+  // lanes, 8 + 8 + 4 at 3 or more, and idle lanes beyond 3.
+  expect_obs_identical(random_circuit(400, 24), signature_observability,
+                       "signature", 1280);
 }
 
 // --- SER sweep -------------------------------------------------------------

@@ -23,6 +23,7 @@
 #include "netlist/validate.hpp"
 #include "support/deadline.hpp"
 #include "support/diag.hpp"
+#include "support/metrics.hpp"
 #include "support/strings.hpp"
 
 #ifndef SERELIN_CORPUS_DIR
@@ -344,9 +345,15 @@ TEST(Deadline, ObservabilityThrowsCancelled) {
   cfg.frames = 2;
   cfg.warmup = 1;
   cfg.deadline = Deadline::after(0.0);
+  // Both engines stop in stimulus recording, before any frame is
+  // simulated: an expired stage must not overrun by a whole recording.
+  const MetricsSnapshot before = metrics_snapshot();
   ObservabilityAnalyzer sig(nl, cfg);
   EXPECT_THROW(sig.run(), CancelledError);
   EXPECT_THROW(exact_observability(nl, cfg), CancelledError);
+  if (metrics_compiled_in()) {
+    EXPECT_EQ((metrics_snapshot() - before)[Counter::kSimPatternWords], 0);
+  }
 }
 
 // ---- seeded mini-fuzz over the corruption engine ------------------------

@@ -369,6 +369,7 @@ TEST(Metrics, CounterTotalsIdenticalAcrossThreadCounts) {
   if (metrics_compiled_in()) {
     EXPECT_GT(reference[Counter::kWdSources], 0);
     EXPECT_GT(reference[Counter::kObsFlips], 0);
+    EXPECT_GT(reference[Counter::kSimOdcWords], 0);
     EXPECT_GT(reference[Counter::kSerTerms], 0);
     EXPECT_GT(reference[Counter::kElwIntervalOps], 0);
   }
