@@ -25,8 +25,11 @@ const char* kind_name(ConstraintKind k) {
 void report(const char* title, const RetimingGraph& g, const Retiming& r,
             const TimingParams& tp, double rmin) {
   ConstraintChecker checker(g, tp, rmin);
+  // compute() rejects a P0-invalid move, so such a move keeps the labels
+  // of the unmoved circuit, as the closure solver's do; the P0 scan reads
+  // no labels.
   GraphTiming t(g, tp);
-  t.compute(r);
+  t.compute(g.valid(r) ? r : g.zero_retiming());
   const auto viol = checker.find_violation(r, t);
   std::printf("%s\n", title);
   if (!viol) {

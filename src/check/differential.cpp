@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "check/cross_check.hpp"
 #include "check/oracle.hpp"
 #include "check/wd_matrices.hpp"
 #include "core/closure_solver.hpp"
@@ -23,7 +22,6 @@
 #include "rgraph/retiming_graph.hpp"
 #include "sim/observability.hpp"
 #include "sim/sim_config.hpp"
-#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "timing/graph_timing.hpp"
 
@@ -395,45 +393,6 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
               std::string("min-period engines threw: ") + e.what());
   }
 
-  // ---- Incremental relabeling: random walk vs fresh compute ------------
-  if (!g.gate_vertices().empty()) {
-    try {
-      GraphTiming t(g, init.timing);
-      t.compute(init.r);
-      Retiming r = init.r;
-      Rng rng(cfg.walk_seed ^ 0x9e3779b97f4a7c15ULL);
-      const auto& gates = g.gate_vertices();
-      int applied = 0;
-      for (int move = 0; move < cfg.walk_moves; ++move) {
-        const VertexId v =
-            gates[rng.below(static_cast<std::uint64_t>(gates.size()))];
-        const std::int32_t delta = rng.chance(0.7) ? -1 : 1;
-        r[v] += delta;
-        if (!g.valid(r)) {
-          r[v] -= 2 * delta;  // try the opposite direction
-          if (!g.valid(r)) {
-            r[v] += delta;  // restore; vertex is pinned right now
-            continue;
-          }
-        }
-        t.update(r);
-        ++applied;
-      }
-      const CrossCheckResult cc = cross_check_incremental_timing(g, t, r);
-      if (!cc.ok) h.diverge("incremental-mismatch", cc.detail);
-      h.outcome("incremental",
-                cc.ok ? EngineStatus::kOk : EngineStatus::kCrashed,
-                cc.ok ? std::to_string(applied) + " moves applied"
-                      : cc.detail);
-    } catch (const std::exception& e) {
-      h.outcome("incremental", EngineStatus::kCrashed, e.what());
-      h.diverge("engine-crash",
-                std::string("incremental walk threw: ") + e.what());
-    }
-  } else {
-    h.outcome("incremental", EngineStatus::kSkipped, "no movable vertices");
-  }
-
   // ---- Materialization: apply → write → reparse must round-trip --------
   if (forest.status != EngineStatus::kCrashed &&
       forest.status != EngineStatus::kSkipped && g.valid(forest.res.r)) {
@@ -480,8 +439,6 @@ void append_diff_config(const DiffConfig& cfg, SidecarFields& fields) {
   add("exhaustive_max_gates", cfg.exhaustive_max_gates);
   add("exhaustive_bound", cfg.exhaustive_bound);
   add("engine_seconds", cfg.engine_seconds);
-  add("walk_moves", cfg.walk_moves);
-  add("walk_seed", cfg.walk_seed);
   add("fault_kind", fault_kind_name(cfg.fault.kind));
   add("fault_engine", cfg.fault.engine);
 }
@@ -518,11 +475,6 @@ std::optional<ReplaySpec> parse_replay_spec(std::string_view sidecar) {
         cfg.exhaustive_bound = static_cast<int>(*v);
     } else if (key == "engine_seconds") {
       if (const auto v = parse_double(val)) cfg.engine_seconds = *v;
-    } else if (key == "walk_moves") {
-      if (const auto v = parse_int(val, 0, 100000))
-        cfg.walk_moves = static_cast<int>(*v);
-    } else if (key == "walk_seed") {
-      if (const auto v = parse_uint(val)) cfg.walk_seed = *v;
     } else if (key == "fault_kind") {
       for (int k = 0; k < kNumFaultKinds; ++k) {
         const auto kind = static_cast<FaultKind>(k);

@@ -3,18 +3,16 @@
 //
 // The solver stack has redundant implementations by design — the regular
 // forest (MinObsWin), the closure solver, exhaustive enumeration, FEAS and
-// the exact W/D min-period search (src/check/wd_matrices.hpp),
-// incremental and from-scratch relabeling — and the paper's own test
-// invariants tie them together: the forest must match exhaustive search
-// exactly on tiny instances, the closure solver must not beat the forest,
-// FEAS can never beat the exact W/D period, incremental relabeling is
-// bit-identical to compute(). The closure-vs-forest relation is checked,
-// not proven: the `expect: divergent` entries in tests/corpus/found are
-// circuits where the closure solver's gain exceeds the forest's (the P2'
-// attribution gap). A differential run executes all of them on
-// one netlist and turns every violated agreement into a structured
-// Divergence, so the solvers property of tools/serelin_campaign only has
-// to generate circuits and count.
+// the exact W/D min-period search (src/check/wd_matrices.hpp) — and the
+// paper's own test invariants tie them together: the forest must match
+// exhaustive search exactly on tiny instances, the closure solver must not
+// beat the forest, FEAS can never beat the exact W/D period. The
+// closure-vs-forest relation is checked, not proven: the `expect:
+// divergent` entries in tests/corpus/found are circuits where the closure
+// solver's gain exceeds the forest's (the P2' attribution gap). A
+// differential run executes all of them on one netlist and turns every
+// violated agreement into a structured Divergence, so the solvers property
+// of tools/serelin_campaign only has to generate circuits and count.
 //
 // Timeouts are not disagreements: an engine that stops at its deadline
 // returns a Partial result whose stop_detail says so, is reported with
@@ -91,10 +89,6 @@ struct DiffConfig {
   /// Per-engine wall-clock budget in seconds; <= 0 means none. Engines
   /// that hit it report kTimeout, not a divergence.
   double engine_seconds = 0.0;
-
-  /// Moves of the incremental-relabeling random walk and its seed.
-  int walk_moves = 24;
-  std::uint64_t walk_seed = 1;
 
   PlantedFault fault;  ///< self-check fault (kind kNone = honest run)
 };

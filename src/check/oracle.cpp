@@ -7,7 +7,6 @@
 #include "rgraph/apply.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
-#include "support/parallel.hpp"
 #include "support/trace.hpp"
 #include "timing/elw.hpp"
 
@@ -125,28 +124,23 @@ InvariantResult RetimingOracle::check_legality(const Retiming& r,
              std::to_string(r[p]) + " (must stay 0)"});
   }
   // Edge scan: w_r(u,v) = w + r(v) − r(u) ≥ 0 on every edge (paper Eq. 1).
-  // Each lane reports into its own slot; the merge orders findings by edge
-  // id, so the verdict is bit-identical for any thread count.
-  LaneDiagnostics lanes(parallel_workers(), opt_.max_diagnostics);
-  parallel_for(
-      0, g_->edge_count(), 4096, opt_.deadline, "oracle/legality",
-      [&](std::size_t i, int lane) {
-        const EdgeId eid = static_cast<EdgeId>(i);
-        const REdge& e = g_->edge(eid);
-        const std::int64_t wr = static_cast<std::int64_t>(e.w) +
-                                r[e.to] - r[e.from];
-        if (wr >= 0) return;
-        lanes.error(lane, i, DiagCode::kOracleLegality,
-                    "edge " + std::to_string(eid) + " (" +
-                        std::to_string(e.from) + " -> " +
-                        std::to_string(e.to) + "): w_r = " +
-                        std::to_string(wr) + " < 0 (w = " +
-                        std::to_string(e.w) + ", r(u) = " +
-                        std::to_string(r[e.from]) + ", r(v) = " +
-                        std::to_string(r[e.to]) + ")");
-      });
-  const std::size_t negative = lanes.error_count();
-  lanes.merge_into(v.diagnostics);
+  // The first max_diagnostics findings are stored, in edge order; the
+  // detail string carries the exact count.
+  std::size_t negative = 0;
+  for (EdgeId eid = 0; eid < g_->edge_count(); ++eid) {
+    const REdge& e = g_->edge(eid);
+    const std::int64_t wr = static_cast<std::int64_t>(e.w) + r[e.to] -
+                            r[e.from];
+    if (wr >= 0 || ++negative > opt_.max_diagnostics) continue;
+    v.diagnostics.report(
+        {Severity::kError, DiagCode::kOracleLegality, {}, 0, 0,
+         "edge " + std::to_string(eid) + " (" + std::to_string(e.from) +
+             " -> " + std::to_string(e.to) + "): w_r = " +
+             std::to_string(wr) + " < 0 (w = " + std::to_string(e.w) +
+             ", r(u) = " + std::to_string(r[e.from]) + ", r(v) = " +
+             std::to_string(r[e.to]) + ")"});
+  }
+  opt_.deadline.check("oracle/legality");
   if (moved_boundary == 0 && negative == 0)
     return {Invariant::kLegality, CheckStatus::kPass,
             std::to_string(g_->edge_count()) + " edges with w_r >= 0"};

@@ -9,8 +9,9 @@
 // code paths that share nothing with the solvers:
 //
 //   1. LEGALITY  — a direct edge loop over w(e) + r(v) − r(u) ≥ 0 and the
-//      pinned boundary labels (paper Eq. 1). Runs as a deadline-aware
-//      parallel_for with per-lane diagnostics merged deterministically.
+//      pinned boundary labels (paper Eq. 1). A plain sequential loop that
+//      stores the first max_diagnostics negative edges in edge order, so
+//      the verdict is the same at every thread count.
 //   2. PERIOD    — the retiming is *materialized* with apply_retiming and
 //      a plain forward STA over the rebuilt netlist checks every
 //      register-D / primary-output arrival against Φ − Ts. No GraphTiming,

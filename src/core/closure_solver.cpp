@@ -52,13 +52,11 @@ class BundleGrower {
       if (deadline_.expired()) return Status::kStopped;
       Retiming cand = r;
       for (VertexId v : members_) cand[v] -= delta_[v];
-      // Incremental relabel against whatever state the labels last
-      // described (bit-identical to compute(cand)). update requires a
-      // valid retiming, so a P0-invalid candidate is not relabeled: the
-      // labels keep describing the last valid state, and find_violation
-      // reports the P0 violation from its full edge scan, which never
-      // reads path labels.
-      if (g_.valid(cand)) timing_.update(cand);
+      // compute requires a valid retiming, so a P0-invalid candidate is
+      // not relabeled: the labels keep describing the last valid state,
+      // and find_violation reports the P0 violation from its full edge
+      // scan, which never reads path labels.
+      if (g_.valid(cand)) timing_.compute(cand);
       const auto viol = checker_.find_violation(cand, timing_, movers_);
       if (!viol) {
         std::int64_t gain = 0;

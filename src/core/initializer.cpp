@@ -43,7 +43,7 @@ bool repair_hold(const RetimingGraph& g, Retiming& r,
       8 * static_cast<std::int64_t>(g.vertex_count()) + 256;
   for (std::int64_t step = 0; step < budget; ++step) {
     if (!g.valid(cand)) return false;
-    timing.update(cand);  // single-vertex moves: O(cone) relabel per step
+    timing.compute(cand);
     const auto v = checker.find_violation(cand, timing);
     if (!v) {
       r = cand;

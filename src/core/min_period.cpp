@@ -25,10 +25,9 @@ std::optional<Retiming> MinPeriodRetimer::retime_for_period(
     // An interrupted probe reports "not feasible for phi" — conservative
     // and safe; minimize() notices the expiry itself and stops cleanly.
     if (opt_.deadline.expired()) return std::nullopt;
-    // First pass computes from scratch; later passes relabel only the
-    // cones around the vertices incremented last pass (r stays valid
-    // throughout thanks to the demotion closure below).
-    timing.update(r);
+    // r stays valid throughout, as compute requires, thanks to the
+    // demotion closure below.
+    timing.compute(r);
     bool violated = false;
     // Candidate moves: violated movable vertices.
     for (VertexId v = 0; v < g_->vertex_count(); ++v) {

@@ -202,12 +202,11 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
       out.r[v] -= forest.weight(v);
       movers[v] = 1;
     }
-    // Relabel the cones around the moved vertices (bit-identical to a full
-    // recompute) and scan the whole graph. The move is P0-closed, so
-    // update's validity precondition holds; after the closure a solve
-    // probes only a handful of times, so the full scan costs nothing
-    // measurable.
-    timing.update(out.r);
+    // Relabel and scan the whole graph. The move is P0-closed, so
+    // compute's validity precondition holds; after the closure a solve
+    // probes only a handful of times, so the full pass and scan cost
+    // nothing measurable.
+    timing.compute(out.r);
     const auto viols = checker.find_violations(out.r, timing, movers);
 
     if (viols.empty()) {
@@ -241,8 +240,8 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     std::vector<char> q_moved(viols.size());
     for (std::size_t i = 0; i < viols.size(); ++i)
       q_moved[i] = movers[fix_q[i]];
-    // The labels stay at the rejected move; the next update diffs from
-    // there.
+    // The labels stay at the rejected move; the next probe relabels
+    // before it reads them.
     for (VertexId v : candidate) {
       out.r[v] += forest.weight(v);
       movers[v] = 0;

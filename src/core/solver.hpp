@@ -10,11 +10,11 @@
 //      set until a round folds nothing. Empty I then means no improving
 //      feasible move exists: the current retiming is returned.
 //   2. Tentatively decrease r(v) by w(v) for every v in I.
-//   3. Relabel timing (incrementally, once per probe) and scan the whole
-//      graph for P1' / P2' violations whose dependency source p lies in I
-//      (the mover that caused them); the closure leaves no P0 violation to
+//   3. Relabel timing (one full pass per probe) and scan the whole graph
+//      for P1' / P2' violations whose dependency source p lies in I (the
+//      mover that caused them); the closure leaves no P0 violation to
 //      find. If one exists, revert the tentative move (the labels stay at
-//      the rejected move; the next relabel diffs from there) and fold the
+//      the rejected move until the next probe relabels) and fold the
 //      paper's active constraint (p, q, w) of each into the
 //      forest: q must move with p, with weight w on top of whatever q
 //      already moved (BreakTree + weight update when q's previously assumed

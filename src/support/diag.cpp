@@ -165,60 +165,6 @@ void DiagnosticSink::absorb(const DiagnosticSink& other) {
   warnings_ += other.warnings_ - stored_warnings;
 }
 
-LaneDiagnostics::LaneDiagnostics(int lanes, std::size_t max_stored)
-    : lanes_(static_cast<std::size_t>(lanes < 1 ? 1 : lanes)),
-      max_stored_(max_stored) {}
-
-void LaneDiagnostics::report(int lane, std::uint64_t index, Diagnostic d) {
-  Lane& slot = lanes_[static_cast<std::size_t>(lane)];
-  if (d.severity == Severity::kError) ++slot.errors;
-  if (d.severity == Severity::kWarning) ++slot.warnings;
-  if (slot.entries.size() >= max_stored_) {
-    ++slot.dropped;
-    return;
-  }
-  slot.entries.push_back(Entry{index, std::move(d)});
-}
-
-void LaneDiagnostics::error(int lane, std::uint64_t index, DiagCode code,
-                            std::string message) {
-  report(lane, index,
-         Diagnostic{Severity::kError, code, {}, 0, 0, std::move(message)});
-}
-
-std::size_t LaneDiagnostics::error_count() const {
-  std::size_t n = 0;
-  for (const Lane& lane : lanes_) n += lane.errors;
-  return n;
-}
-
-void LaneDiagnostics::merge_into(DiagnosticSink& out) const {
-  std::vector<const Entry*> all;
-  std::size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.entries.size();
-  all.reserve(total);
-  for (const Lane& lane : lanes_)
-    for (const Entry& e : lane.entries) all.push_back(&e);
-  // Stable on the loop index: ties (several findings at one index) keep
-  // lane order, which static chunking makes deterministic per index.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Entry* a, const Entry* b) {
-                     return a->index < b->index;
-                   });
-  for (const Entry* e : all) out.report(e->diag);
-  for (const Lane& lane : lanes_) {
-    out.dropped_ += lane.dropped;
-    // Capped-out findings bumped only the lane counters; carry them over.
-    std::size_t stored_errors = 0, stored_warnings = 0;
-    for (const Entry& e : lane.entries) {
-      if (e.diag.severity == Severity::kError) ++stored_errors;
-      if (e.diag.severity == Severity::kWarning) ++stored_warnings;
-    }
-    out.errors_ += lane.errors - stored_errors;
-    out.warnings_ += lane.warnings - stored_warnings;
-  }
-}
-
 std::string DiagnosticError::render_all(const std::string& context,
                                         const std::vector<Diagnostic>& diags) {
   // Render at most a screenful; the structured list stays complete.

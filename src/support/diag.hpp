@@ -127,8 +127,6 @@ class DiagnosticSink {
   void absorb(const DiagnosticSink& other);
 
  private:
-  friend class LaneDiagnostics;  // merge_into folds per-lane drop counts in
-
   void bump(Severity s);
 
   std::string file_;
@@ -153,59 +151,6 @@ class DiagnosticError : public ParseError {
                                 const std::vector<Diagnostic>& diags);
 
   std::vector<Diagnostic> diags_;
-};
-
-/// Diagnostic collection for parallel regions. DiagnosticSink itself is
-/// single-threaded by contract; code that reports findings from inside a
-/// (deadline-aware) parallel_for instead gives every lane its own slot
-/// here — no sharing, no locks — and tags each finding with its loop
-/// index. merge_into() then splices all lanes into one ordinary sink
-/// ordered by that index, so the merged output is bit-identical for any
-/// thread count (the repo-wide determinism contract, docs/PARALLELISM.md).
-///
-/// Per-lane storage is capped like DiagnosticSink's: findings past the cap
-/// are counted (error/warning totals stay exact) but not stored, and the
-/// merged sink reports the overflow in its summary().
-class LaneDiagnostics {
- public:
-  /// `lanes` should be parallel_workers() at region entry; `max_stored`
-  /// caps stored findings per lane.
-  explicit LaneDiagnostics(int lanes, std::size_t max_stored = 1000);
-
-  int lanes() const { return static_cast<int>(lanes_.size()); }
-
-  /// Reports one finding from `lane` at loop index `index`. Safe to call
-  /// concurrently from distinct lanes; a single lane is sequential (the
-  /// parallel_for contract).
-  void report(int lane, std::uint64_t index, Diagnostic d);
-
-  /// Convenience for the common error case.
-  void error(int lane, std::uint64_t index, DiagCode code,
-             std::string message);
-
-  /// Errors across all lanes, including capped-out findings.
-  std::size_t error_count() const;
-
-  /// Appends everything into `out`, stably ordered by loop index. Call
-  /// after the parallel region has joined (not thread-safe).
-  void merge_into(DiagnosticSink& out) const;
-
- private:
-  struct Entry {
-    std::uint64_t index;
-    Diagnostic diag;
-  };
-  struct Lane {
-    std::vector<Entry> entries;
-    std::size_t dropped = 0;
-    std::size_t errors = 0;
-    std::size_t warnings = 0;
-    // Keep lanes on separate cache lines: adjacent lanes append
-    // concurrently.
-    char pad[64];
-  };
-  std::vector<Lane> lanes_;
-  std::size_t max_stored_;
 };
 
 }  // namespace serelin

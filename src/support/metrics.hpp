@@ -51,7 +51,7 @@ enum class Counter : std::uint16_t {
   kBundleGrowSteps,  ///< closure-solver bundle growth steps
   kWdSources,        ///< single-source W/D computations
   kWdHeapPops,       ///< Dijkstra heap pops during W/D construction
-  kIncrNodesTouched, ///< vertices relabeled by incremental timing updates
+  kIncrNodesTouched, ///< never incremented (reads 0); perfbench reads it
   kElwIntervalOps,   ///< interval-set ops (insert/unite/shift/clamp)
   kSimPatternWords,  ///< 64-pattern value words evaluated by the simulator
   kSimOdcWords,      ///< signature pass: gate fanin pins x ODC words x frames

@@ -24,12 +24,11 @@
 // boundary edge itself is retained (crit_min_edge) so the solver can move
 // its registers.
 //
-// Incremental updates: update(r) diffs `r` against the retiming the labels
-// were last computed for and relabels only the affected fanin/fanout cones
-// (O(cone) instead of O(|V|+|E|) per solver move). The relabeled values are
-// bit-identical to a from-scratch compute(r) — each cone vertex is
-// recomputed with the exact compute() loop body, reading already-final
-// neighbour labels — so solvers can switch between the two freely.
+// One relabel: every caller runs compute(r), a full O(|V|+|E|) pass, for
+// each retiming it reads labels for. The moves the solvers relabel for
+// (P0-closed MinObsWin probes, FEAS passes over every late vertex) change
+// most of the graph, so an incremental cone relabel does not pay on most
+// circuits (DESIGN.md §4.1).
 #pragma once
 
 #include <vector>
@@ -43,19 +42,11 @@ class GraphTiming {
  public:
   GraphTiming(const RetimingGraph& g, TimingParams params);
 
-  /// Recomputes every label for retiming `r` (O(|V|+|E|)).
-  /// Requires g.valid(r).
+  /// Recomputes every label for retiming `r` (O(|V|+|E|)). Requires a
+  /// non-negative w_r on every edge: the w_r = 0 subgraph of a P0-invalid
+  /// retiming is not a meaningful DAG, so a negative edge throws
+  /// PreconditionError before any label changes.
   void compute(const Retiming& r);
-
-  /// Incrementally relabels for `r`, touching only the cones reachable
-  /// from edges whose w_r changed since the last compute()/update().
-  /// Results are bit-identical to compute(r). Requires g.valid(r): the
-  /// w_r = 0 subgraph of an invalid retiming is not a meaningful DAG, so
-  /// an edge whose w_r changes to a negative value throws
-  /// PreconditionError and leaves the labels at the previous state.
-  /// Finds the changed vertices by an O(|V|) diff against the labeled
-  /// retiming; falls back to a full compute when no labels exist yet.
-  void update(const Retiming& r);
 
   const TimingParams& params() const { return params_; }
 
@@ -77,10 +68,11 @@ class GraphTiming {
   EdgeId crit_min_edge(VertexId v) const { return crit_min_edge_[v]; }
 
  private:
+  /// Orders the w_r = 0 subgraph into topo_; throws on a negative w_r.
   void topo_sort(const Retiming& r);
-  /// Recomputes arrival(v) from its (already final) w_r = 0 fanins.
+  /// Computes arrival(v) from its (already labeled) w_r = 0 fanins.
   void relabel_forward(const Retiming& r, VertexId v);
-  /// Recomputes the five backward labels of v from its (already final)
+  /// Computes the five backward labels of v from its (already labeled)
   /// w_r = 0 fanouts.
   void relabel_backward(const Retiming& r, VertexId v);
 
@@ -93,19 +85,6 @@ class GraphTiming {
   std::vector<VertexId> crit_min_end_;
   std::vector<EdgeId> crit_min_edge_;
   std::vector<VertexId> topo_;
-
-  // Incremental-update state: the retiming the labels describe, and
-  // epoch-stamped scratch so updates allocate nothing in steady state.
-  Retiming label_r_;
-  bool labels_exact_ = false;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> vmark_;
-  std::vector<std::uint64_t> emark_;
-  std::vector<std::uint32_t> pending_;
-  std::vector<VertexId> changed_;
-  std::vector<EdgeId> wr_changed_;
-  std::vector<VertexId> cone_;
-  std::vector<VertexId> queue_;
 };
 
 }  // namespace serelin

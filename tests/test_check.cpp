@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "check/cross_check.hpp"
 #include "check/oracle.hpp"
 #include "core/initializer.hpp"
 #include "gen/random_circuit.hpp"
@@ -20,6 +19,7 @@
 #include "rgraph/apply.hpp"
 #include "ser/ser_analyzer.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace serelin {
 namespace {
@@ -287,57 +287,54 @@ TEST(Oracle, CriticalPathMatchesHandComputation) {
   EXPECT_DOUBLE_EQ(critical_path(nl, lib), expect);
 }
 
-TEST(CrossCheck, IncrementalTimingValidatesAfterUpdates) {
+TEST(Oracle, LegalityDiagnosticsIdenticalAcrossThreadCounts) {
+  // Hundreds of negative edges, far past the diagnostic cap, spread over
+  // the whole edge range: every 20th gate borrows five registers.
   RandomCircuitSpec spec;
-  spec.gates = 150;
-  spec.dffs = 40;
-  spec.seed = 99;
+  spec.gates = 6000;
+  spec.dffs = 3000;
+  spec.seed = 6;
   const Netlist nl = generate_random_circuit(spec);
   CellLibrary lib;
   RetimingGraph g(nl, lib);
-  GraphTiming t(g, {60.0, 0.0, 2.0});
-  Retiming r = g.zero_retiming();
-  t.compute(r);
-
-  // Advance through a few valid single-vertex moves via update(), then
-  // cross-check against the from-scratch recompute.
-  Rng rng(4242);
+  Retiming bad = g.zero_retiming();
   const auto& gates = g.gate_vertices();
-  int applied = 0;
-  for (int step = 0; step < 200 && applied < 25; ++step) {
-    const VertexId v = gates[rng.next() % gates.size()];
-    const bool inc = rng.chance(0.5);
-    const auto& edges = inc ? g.out_edges(v) : g.in_edges(v);
-    bool ok = true;
-    for (EdgeId e : edges)
-      if (g.wr(e, r) < 1) { ok = false; break; }
-    if (!ok) continue;
-    r[v] += inc ? 1 : -1;
-    ++applied;
-    t.update(r);
+  for (std::size_t i = 0; i < gates.size(); i += 20) bad[gates[i]] = -5;
+  std::size_t negative = 0;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) negative += g.wr(e, bad) < 0;
+
+  OracleOptions oo;
+  ASSERT_GT(negative, oo.max_diagnostics);
+  oo.timing = {100.0, 0.0, 2.0};
+  const RetimingOracle oracle(g, oo);
+  const auto verify_at = [&](int threads) {
+    set_execution_threads(threads);
+    Verdict v = oracle.verify(bad);
+    set_execution_threads(0);
+    return v;
+  };
+  const Verdict ref = verify_at(1);
+  ASSERT_EQ(ref.result(Invariant::kLegality).status, CheckStatus::kFail);
+  ASSERT_EQ(ref.diagnostics.count(DiagCode::kOracleLegality),
+            oo.max_diagnostics);
+  const std::string& detail = ref.result(Invariant::kLegality).detail;
+  EXPECT_EQ(detail.rfind(std::to_string(negative) + " negative edge(s)", 0),
+            0u)
+      << detail;
+  for (int threads : {2, 3, 4}) {
+    const Verdict got = verify_at(threads);
+    EXPECT_EQ(got.result(Invariant::kLegality).detail, detail)
+        << threads << " threads";
+    EXPECT_EQ(got.diagnostics.summary(), ref.diagnostics.summary())
+        << threads << " threads";
+    ASSERT_EQ(got.diagnostics.diagnostics().size(),
+              ref.diagnostics.diagnostics().size())
+        << threads << " threads";
+    for (std::size_t i = 0; i < ref.diagnostics.diagnostics().size(); ++i)
+      EXPECT_EQ(got.diagnostics.diagnostics()[i].message,
+                ref.diagnostics.diagnostics()[i].message)
+          << "entry " << i << " at " << threads << " threads";
   }
-  ASSERT_GT(applied, 0);
-  const CrossCheckResult res = cross_check_incremental_timing(g, t, r);
-  EXPECT_TRUE(res.ok) << res.detail;
-}
-
-TEST(CrossCheck, IncrementalTimingCatchesStaleLabels) {
-  // Labels computed for the zero retiming, cross-checked against a moved
-  // one: the helper must report the divergence, not bless it.
-  const Netlist nl = test::tiny_ring();
-  CellLibrary lib;
-  RetimingGraph g(nl, lib);
-  GraphTiming t(g, {4.0, 0.0, 1.0});
-  Retiming r = g.zero_retiming();
-  t.compute(r);
-
-  Retiming moved = r;
-  const VertexId inv1 = g.vertex_of(nl.find("inv1"));
-  moved[inv1] += 1;  // inv1 -> ff2: the out-edge carries a register
-  ASSERT_TRUE(g.valid(moved));
-  const CrossCheckResult res = cross_check_incremental_timing(g, t, moved);
-  EXPECT_FALSE(res.ok);
-  EXPECT_FALSE(res.detail.empty());
 }
 
 }  // namespace

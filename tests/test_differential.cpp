@@ -266,8 +266,6 @@ TEST(CorpusSidecar, DiffConfigRoundTripsFieldForField) {
   EXPECT_EQ(back.exhaustive_max_gates, cfg.exhaustive_max_gates);
   EXPECT_EQ(back.exhaustive_bound, cfg.exhaustive_bound);
   EXPECT_EQ(back.engine_seconds, cfg.engine_seconds);
-  EXPECT_EQ(back.walk_moves, cfg.walk_moves);
-  EXPECT_EQ(back.walk_seed, cfg.walk_seed);
   EXPECT_EQ(back.fault.kind, cfg.fault.kind);
   EXPECT_EQ(back.fault.engine, cfg.fault.engine);
 }

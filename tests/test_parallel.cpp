@@ -19,10 +19,7 @@
 #include "helpers.hpp"
 #include "ser/ser_analyzer.hpp"
 #include "sim/observability.hpp"
-#include "support/deadline.hpp"
-#include "support/diag.hpp"
 #include "support/parallel.hpp"
-#include "support/strings.hpp"
 #include "support/sync.hpp"
 
 namespace serelin {
@@ -289,64 +286,6 @@ TEST(ParallelStress, ManyMoreTasksThanThreads) {
     reference[i] = acc;
   });
   EXPECT_EQ(slots, reference);
-}
-
-// --- Per-lane diagnostics --------------------------------------------------
-
-/// Runs a deadline-aware parallel region in which every index divisible by
-/// seven reports a finding through per-lane sinks, and returns the merged
-/// single sink. Used to pin the determinism contract: the merged output
-/// must be bit-identical for any worker count (and race-free under TSAN).
-DiagnosticSink lane_merged_findings(std::size_t n) {
-  const Deadline deadline = Deadline::after(3600.0);
-  LaneDiagnostics lanes(parallel_workers());
-  parallel_for(0, n, 64, deadline, "test/lane-diag",
-               [&](std::size_t i, int lane) {
-                 if (i % 7 == 0)
-                   lanes.error(lane, i, DiagCode::kOracleLegality,
-                               "finding at index " + std::to_string(i));
-               });
-  DiagnosticSink merged;
-  lanes.merge_into(merged);
-  return merged;
-}
-
-TEST(ParallelDiag, LaneMergeIsThreadCountInvariant) {
-  ThreadGuard guard;
-  constexpr std::size_t kIndices = 10000;
-  set_execution_threads(1);
-  const DiagnosticSink reference = lane_merged_findings(kIndices);
-  ASSERT_EQ(reference.error_count(), kIndices / 7 + 1);
-  for (int threads : thread_ladder()) {
-    set_execution_threads(threads);
-    const DiagnosticSink got = lane_merged_findings(kIndices);
-    ASSERT_EQ(got.error_count(), reference.error_count())
-        << "at " << threads << " threads";
-    ASSERT_EQ(got.diagnostics().size(), reference.diagnostics().size());
-    for (std::size_t i = 0; i < got.diagnostics().size(); ++i) {
-      const Diagnostic& a = got.diagnostics()[i];
-      const Diagnostic& b = reference.diagnostics()[i];
-      ASSERT_EQ(a.message, b.message)
-          << "entry " << i << " at " << threads << " threads";
-      ASSERT_EQ(a.code, b.code);
-      ASSERT_EQ(a.severity, b.severity);
-    }
-  }
-}
-
-TEST(ParallelDiag, LaneCapKeepsCountsExact) {
-  ThreadGuard guard;
-  set_execution_threads(2);
-  LaneDiagnostics lanes(parallel_workers(), /*max_stored=*/4);
-  parallel_for(0, 100, 1, [&](std::size_t i, int lane) {
-    lanes.error(lane, i, DiagCode::kOracleLegality, numbered("e", i));
-  });
-  EXPECT_EQ(lanes.error_count(), 100u);  // capped storage, exact totals
-  DiagnosticSink merged;
-  lanes.merge_into(merged);
-  EXPECT_EQ(merged.error_count(), 100u);
-  EXPECT_LE(merged.diagnostics().size(),
-            4u * static_cast<std::size_t>(parallel_workers()));
 }
 
 // --- CondVar timed waits ---------------------------------------------------

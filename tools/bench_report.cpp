@@ -1,11 +1,11 @@
-// bench_report — runs the production hot-path kernels (incremental timing
-// relabeling, signature observability, the SER sweep) at a ladder of
-// worker counts and records wall time + speedup into a JSON file, so the
-// repo's perf trajectory is measured and versioned instead of asserted.
+// bench_report — runs the production parallel kernels (signature
+// observability, the SER sweep) at a ladder of worker counts and records
+// wall time + speedup into a JSON file, so the repo's perf trajectory is
+// measured and versioned instead of asserted.
 //
 //   bench_report [--out BENCH_parallel.json] [--gates N] [--dffs N]
 //                [--threads 1,2,4,8] [--repeat R]
-//                [--kernels incr_relabel,obs_signature,ser_sweep]
+//                [--kernels obs_signature,ser_sweep]
 //
 // Each (kernel, threads) cell reports the best of R runs (default 2) and
 // the speedup relative to the same kernel at 1 thread. The tool also
@@ -22,7 +22,6 @@
 #include "flow/journal.hpp"
 #include "gen/random_circuit.hpp"
 #include "netlist/cell_library.hpp"
-#include "rgraph/retiming_graph.hpp"
 #include "ser/ser_analyzer.hpp"
 #include "sim/observability.hpp"
 #include "support/atomic_io.hpp"
@@ -31,7 +30,6 @@
 #include "support/parallel.hpp"
 #include "support/stopwatch.hpp"
 #include "support/strings.hpp"
-#include "timing/graph_timing.hpp"
 
 namespace {
 
@@ -56,8 +54,7 @@ struct KernelReport {
 };
 
 /// Every kernel, in run order; --kernels names are checked against it.
-constexpr const char* kKernelNames[] = {"incr_relabel", "obs_signature",
-                                        "ser_sweep"};
+constexpr const char* kKernelNames[] = {"obs_signature", "ser_sweep"};
 
 std::string kernel_list() {
   std::string out;
@@ -267,49 +264,7 @@ int main(int argc, char** argv) {
                 spec.gates, hardware_threads());
     const Netlist nl = generate_random_circuit(spec);
     CellLibrary lib;
-    const RetimingGraph g(nl, lib);
     std::vector<KernelReport> kernels;
-
-    if (want("incr_relabel")) {
-      kernels.push_back(measure(
-          "incr_relabel", "4096 single-vertex moves, cone-incremental",
-          threads, repeat, [&] {
-            GraphTiming timing(g, TimingParams{100.0, 0.0, 2.0});
-            Retiming r = g.zero_retiming();
-            timing.compute(r);
-            // Deterministic random walk of ±1 moves over the gate
-            // vertices; a move is applied only when the O(deg) precheck
-            // shows it keeps every incident w_r non-negative, so every
-            // update() takes the valid (cone-relabel) path.
-            Rng rng = stream_rng(spec.seed, /*index=*/41);
-            const auto& gates = g.gate_vertices();
-            std::uint64_t applied = 0;
-            for (int step = 0; step < 4096; ++step) {
-              const VertexId mv = gates[rng.next() % gates.size()];
-              const bool inc = rng.chance(0.5);
-              const auto& edges = inc ? g.out_edges(mv) : g.in_edges(mv);
-              bool ok = true;
-              for (EdgeId e : edges)
-                if (g.wr(e, r) < 1) { ok = false; break; }
-              if (!ok) continue;
-              r[mv] += inc ? 1 : -1;
-              timing.update(r);
-              ++applied;
-            }
-            std::vector<double> labels;
-            labels.reserve(g.vertex_count() * 3);
-            for (VertexId v = 0; v < g.vertex_count(); ++v) {
-              labels.push_back(timing.arrival(v));
-              labels.push_back(timing.max_after(v));
-              labels.push_back(timing.min_after(v));
-            }
-            std::vector<std::uint64_t> fp;
-            fp.push_back(fingerprint_bytes(labels));
-            fp.push_back(fingerprint_bytes(r));
-            fp.push_back(applied);
-            return fp;
-          }));
-    }
 
     if (want("obs_signature")) {
       SimConfig cfg;

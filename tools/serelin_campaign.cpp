@@ -25,9 +25,9 @@
 //   solvers  every engine run_differential (check/differential.hpp)
 //            cross-checks agrees on a random circuit — MinObsWin against
 //            the closure and exhaustive references under P2′, FEAS
-//            against the exact W/D period, incremental relabeling,
-//            materialization. A divergence is shrunk to a 1-minimal
-//            netlist that shows the same divergence kind.
+//            against the exact W/D period, materialization. A
+//            divergence is shrunk to a 1-minimal netlist that shows the
+//            same divergence kind.
 //   crash    a run SIGKILLed at any durability crash point resumes to a
 //            result bit-identical to an uninterrupted one, and leaves no
 //            torn artifact behind.
