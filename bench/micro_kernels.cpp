@@ -1,15 +1,15 @@
-// Microbenchmarks of the substrate kernels: word-parallel simulation, the
-// backward ODC pass, graph timing recomputation (the inner loop of the
-// solvers), exact interval-ELW computation, and interval-set arithmetic.
-// The *Threaded variants take the worker count as the benchmark argument
-// so the parallel substrate's speedup is measured, not asserted
-// (tools/bench_report records the same kernels into BENCH_parallel.json).
+// The one kernel bench: word-parallel simulation, the backward ODC pass,
+// graph timing recomputation (the inner loop of the solvers), exact
+// interval-ELW computation, and interval-set arithmetic. Kernel times only
+// diagnose; performance is judged end to end by perfbench.
+// BM_ObservabilitySignatureThreaded is the one thread ladder: it runs the
+// signature pass, the production kernel that splits across lanes, with the
+// worker count as the benchmark argument.
 #include <benchmark/benchmark.h>
 
 #include "gen/random_circuit.hpp"
 #include "interval/interval_set.hpp"
 #include "rgraph/retiming_graph.hpp"
-#include "ser/ser_analyzer.hpp"
 #include "sim/observability.hpp"
 #include "sim/simulator.hpp"
 #include "support/parallel.hpp"
@@ -77,22 +77,6 @@ void BM_ObservabilitySignatureThreaded(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 
-void BM_SerSweepThreaded(benchmark::State& state) {
-  const Netlist& nl = bench_netlist();
-  CellLibrary lib;
-  SerOptions opt;
-  opt.timing = {100.0, 0.0, 2.0};
-  opt.sim.patterns = 512;
-  opt.sim.frames = 4;
-  opt.sim.warmup = 8;
-  set_execution_threads(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analyze_ser(nl, lib, opt));
-  }
-  set_execution_threads(0);
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-
 void BM_GraphTimingCompute(benchmark::State& state) {
   const Netlist& nl = bench_netlist();
   static CellLibrary lib;
@@ -132,9 +116,6 @@ void BM_IntervalUnion(benchmark::State& state) {
 BENCHMARK(BM_SimFrame)->Arg(8)->Arg(32);
 BENCHMARK(BM_ObservabilityRun)->Arg(4)->Arg(15)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ObservabilitySignatureThreaded)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_SerSweepThreaded)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_GraphTimingCompute);

@@ -11,7 +11,6 @@
 #include "core/solver.hpp"
 #include "gen/random_circuit.hpp"
 #include "sim/observability.hpp"
-#include "support/parallel.hpp"
 
 namespace {
 
@@ -88,31 +87,10 @@ void BM_Initialization(benchmark::State& state) {
   }
 }
 
-// The observability prep that feeds the solvers (the dominant fixed cost of
-// an end-to-end retiming run) at varying worker counts: args are
-// {gates, threads}.
-void BM_ObsPrepThreaded(benchmark::State& state) {
-  Instance& inst = instance(static_cast<int>(state.range(0)));
-  SimConfig cfg;
-  cfg.patterns = 2048;
-  cfg.frames = 6;
-  set_execution_threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    ObservabilityAnalyzer engine(inst.nl, cfg);
-    benchmark::DoNotOptimize(
-        compute_gains(inst.graph, engine.run().obs, cfg.patterns));
-  }
-  set_execution_threads(0);
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-
 }  // namespace
 
 BENCHMARK(BM_MinObs)->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MinObsWin)->Arg(1000)->Arg(4000)->Arg(16000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Initialization)->Arg(4000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ObsPrepThreaded)
-    ->Args({4000, 1})->Args({4000, 2})->Args({4000, 8})
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_MAIN();

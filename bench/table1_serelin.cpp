@@ -13,6 +13,7 @@
 // one core in minutes (the paper's K=2048/n=15 on the small rows; reduced
 // K/n on the 60k+-gate rows). Set SERELIN_TABLE1_FULL=1 for paper-fidelity
 // everywhere, or SERELIN_TABLE1_MAXV=<n> to limit the rows attempted.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -20,13 +21,23 @@
 #include "flow/experiment.hpp"
 #include "gen/paper_suite.hpp"
 #include "support/stopwatch.hpp"
+#include "support/strings.hpp"
 #include "support/table.hpp"
 
 namespace {
 
+/// The integer value of environment variable `name`, or `fallback` when it
+/// is unset; anything but a whole non-negative int exits 64.
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
-  return v ? std::atoi(v) : fallback;
+  if (!v) return fallback;
+  const auto n = serelin::parse_int(v, 0, INT_MAX);
+  if (!n) {
+    std::fprintf(stderr, "error: %s wants an integer in [0, %d], got '%s'\n",
+                 name, INT_MAX, v);
+    std::exit(64);
+  }
+  return static_cast<int>(*n);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@
 namespace serelin {
 
 /// Every named counter. Names (counter_name) are stable: journals, metrics
-/// files and the bench report key on them.
+/// files and BENCH_serve.json key on them.
 enum class Counter : std::uint16_t {
   kLpRelaxations,    ///< Bellman–Ford relaxations in the retiming LP
   kFeasPasses,       ///< FEAS passes of the min-period retimer
@@ -90,7 +90,7 @@ struct MetricsSnapshot {
 };
 
 /// One flat JSON object {"lp-relaxations": 0, ...} with every counter, in
-/// enum order (stable for diffing and for the bench report).
+/// enum order (stable for diffing).
 std::string metrics_json(const MetricsSnapshot& snapshot);
 
 /// Writes metrics_json(snapshot) (newline-terminated) to `path`; throws

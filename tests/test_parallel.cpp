@@ -238,15 +238,17 @@ TEST(ParallelObservability, SignatureBitIdenticalOnRaggedWordBlocks) {
                        "signature", 1280);
 }
 
-// --- SER sweep -------------------------------------------------------------
+// --- SER analysis ----------------------------------------------------------
 
+// The Eq. (4) sweep is serial; the signature pass inside analyze_ser is the
+// part that splits, so 20 pattern words give it more than one block.
 TEST(ParallelSer, TotalsBitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
   const Netlist nl = random_circuit(300, 31);
   CellLibrary lib;
   SerOptions opt;
   opt.timing = {40.0, 0.0, 2.0};
-  opt.sim.patterns = 256;
+  opt.sim.patterns = 1280;
   opt.sim.frames = 4;
   opt.sim.warmup = 6;
 

@@ -2,10 +2,9 @@
 // with the flags scripts and CI use: `serelin_cli retime` goes through the
 // solver pipeline for every --algorithm and both netlist formats and
 // writes a trace, metrics file and journal the strict parser accepts,
-// `bench_report` writes a report the strict protocol parser accepts and
-// rejects unknown kernel names, and `serelin_campaign` runs every property
-// campaign clean, replays the committed corpora, and maps failures onto
-// its exit codes.
+// `serelin_cli generate` rejects malformed counts before writing anything,
+// and `serelin_campaign` runs every property campaign clean, replays the
+// committed corpora, and maps failures onto its exit codes.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -94,41 +93,18 @@ TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
   }
 }
 
-TEST(BenchReport, WritesAReportTheStrictParserAccepts) {
-  const std::string path = temp_path("bench_report.json");
-  fs::remove(path);
-  ASSERT_EQ(run(std::string(SERELIN_BENCH_REPORT_BIN) + " --out " + path +
-                " --gates 400 --dffs 100 --threads 1,2 --repeat 1"
-                " --kernels obs_signature,ser_sweep"),
-            0);
-  std::string text = slurp(path);
-  ASSERT_FALSE(text.empty());
-  ASSERT_EQ(text.back(), '\n');
-  text.pop_back();
-  const ParseOutcome parsed = parse_object(text);
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_TRUE(parsed.request.get_number("hardware_threads").has_value());
-  // Nested objects are skipped structurally by the parser, so the keys
-  // bench_gate.py reads are checked by name.
-  for (const char* key :
-       {"\"circuit\":{", "\"kernels\":[", "\"kernel\":\"obs_signature\"",
-        "\"kernel\":\"ser_sweep\"", "\"bit_identical_across_threads\":true",
-        "\"counters_identical_across_threads\":true", "\"counters\":{",
-        "\"results\":[{\"threads\":1,", "{\"threads\":2,"})
-    EXPECT_NE(text.find(key), std::string::npos) << key;
-}
-
-TEST(BenchReport, RejectsUnknownKernelNames) {
-  const std::string path = temp_path("bench_report_unknown.json");
-  for (const std::string kernels : {"wd_query", "obs_signature,nope"}) {
-    fs::remove(path);
-    EXPECT_EQ(run(std::string(SERELIN_BENCH_REPORT_BIN) + " --out " + path +
-                  " --gates 400 --dffs 100 --threads 1 --repeat 1"
-                  " --kernels " + kernels),
+TEST(CliGenerate, BadCountsExit64AndWriteNothing) {
+  const std::string out = temp_path("cli-generate.bench");
+  for (const std::string counts : {"banana 10", "10abc 5", "-5 3", "20 -1"}) {
+    fs::remove(out);
+    EXPECT_EQ(run(std::string(SERELIN_CLI_BIN) + " generate " + counts +
+                  " " + out),
               64)
-        << kernels;
-    EXPECT_FALSE(fs::exists(path)) << kernels;
+        << counts;
+    EXPECT_FALSE(fs::exists(out)) << counts;
   }
+  EXPECT_EQ(run(std::string(SERELIN_CLI_BIN) + " generate 40 10 " + out), 0);
+  EXPECT_TRUE(fs::exists(out));
 }
 
 TEST(Campaign, SelfCheckPasses) {

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/exact_observability.hpp"
@@ -379,6 +381,88 @@ TEST(Metrics, CounterTotalsIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(at_n == reference)
         << "counter totals differ between 1 and " << threads << " threads: "
         << metrics_json(reference) << " vs " << metrics_json(at_n);
+  }
+}
+
+// The counter gate of the production parallel kernels, pinned exactly. The
+// signature pass and the 3-argument SER sweep run on a 2000-gate circuit at
+// 1, 2 and 4 threads; results and counter snapshots must be bit-identical,
+// and with counters compiled in the totals must be these constants. A
+// counter that drifts means the kernel does different work, so a change
+// that moves one must say why and re-pin it here.
+TEST(Metrics, KernelCounterTotalsArePinned) {
+  ThreadGuard guard;
+  RandomCircuitSpec spec;
+  spec.gates = 2000;
+  spec.dffs = 500;
+  spec.inputs = 32;
+  spec.outputs = 32;
+  spec.mean_fanin = 2.0;
+  spec.seed = 777;
+  const Netlist nl = generate_random_circuit(spec);
+  CellLibrary lib;
+  SimConfig obs_cfg;
+  obs_cfg.patterns = 2048;
+  obs_cfg.frames = 8;
+  obs_cfg.warmup = 8;
+  SerOptions ser_opt;
+  ser_opt.timing = {100.0, 0.0, 2.0};
+  ser_opt.sim.patterns = 512;
+  ser_opt.sim.frames = 4;
+  ser_opt.sim.warmup = 8;
+
+  struct Run {
+    ObsResult obs;
+    MetricsSnapshot obs_counters;
+    SerReport ser;
+    MetricsSnapshot ser_counters;
+  };
+  auto run = [&] {
+    Run r;
+    MetricsSnapshot before = metrics_snapshot();
+    r.obs = ObservabilityAnalyzer(nl, obs_cfg).run();
+    r.obs_counters = metrics_snapshot() - before;
+    before = metrics_snapshot();
+    r.ser = analyze_ser(nl, lib, ser_opt);
+    r.ser_counters = metrics_snapshot() - before;
+    return r;
+  };
+  auto totals = [](std::initializer_list<std::pair<Counter, std::int64_t>>
+                       nonzero) {
+    MetricsSnapshot s;
+    for (const auto& [counter, n] : nonzero)
+      s.values[static_cast<std::size_t>(counter)] = n;
+    return s;
+  };
+
+  set_execution_threads(1);
+  const Run reference = run();
+  if (metrics_compiled_in()) {
+    EXPECT_EQ(metrics_json(reference.obs_counters),
+              metrics_json(totals({{Counter::kSimPatternWords, 1536000},
+                                   {Counter::kSimOdcWords, 1024000}})));
+    EXPECT_EQ(metrics_json(reference.ser_counters),
+              metrics_json(totals({{Counter::kElwIntervalOps, 8420},
+                                   {Counter::kSimPatternWords, 256000},
+                                   {Counter::kSimOdcWords, 128000},
+                                   {Counter::kSerTerms, 2500}})));
+  }
+  for (int threads : {2, 4}) {
+    set_execution_threads(threads);
+    const Run at_n = run();
+    EXPECT_EQ(at_n.obs.obs, reference.obs.obs) << threads << " threads";
+    EXPECT_EQ(at_n.ser.obs, reference.ser.obs) << threads << " threads";
+    EXPECT_EQ(at_n.ser.contribution, reference.ser.contribution)
+        << threads << " threads";
+    EXPECT_EQ(at_n.ser.total, reference.ser.total) << threads << " threads";
+    EXPECT_EQ(at_n.ser.combinational, reference.ser.combinational);
+    EXPECT_EQ(at_n.ser.sequential, reference.ser.sequential);
+    EXPECT_EQ(metrics_json(at_n.obs_counters),
+              metrics_json(reference.obs_counters))
+        << threads << " threads";
+    EXPECT_EQ(metrics_json(at_n.ser_counters),
+              metrics_json(reference.ser_counters))
+        << threads << " threads";
   }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: compare a fresh bench_report JSON to a baseline.
+"""Bench-regression gate: compare a fresh serve_bench JSON to a baseline.
 
-    tools/bench_gate.py --baseline BENCH_ci.json --current bench_ci_run.json
+    tools/bench_gate.py --baseline BENCH_serve.json \
+                        --current serve_bench_run.json
                         [--tolerance 3.0] [--min-ms 5.0]
 
 Two kinds of check, matching what is actually stable across machines:
@@ -9,10 +10,11 @@ Two kinds of check, matching what is actually stable across machines:
 * Hard determinism gates (always enforced): every kernel of the current
   report must have `bit_identical_across_threads` and
   `counters_identical_across_threads` true, and — when both reports carry
-  real counter totals (a SERELIN_TRACE=ON build) — the named-counter
-  totals must equal the baseline *exactly*. Counters measure work done,
-  not time, so any drift is a real behavioural change (an algorithmic
-  regression or an unintended workload change), never noise.
+  nonzero counter totals — the named-counter totals must equal the
+  baseline *exactly*. serve_bench counts jobs and cache hits as constants
+  of the workload shape, not of timing, so any drift is a real
+  behavioural change (a cache regression or an unintended workload
+  change), never noise.
 
 * Soft wall-clock gate: per (kernel, threads) cell, current wall time must
   stay under `tolerance` x the baseline. CI runners are noisy shared

@@ -363,8 +363,8 @@ int cmd_generate(const Options& opt) {
   }
   if (opt.positional.size() != 3) usage("generate <gates> <dffs> <out>");
   RandomCircuitSpec spec;
-  spec.gates = std::atoi(opt.positional[0].c_str());
-  spec.dffs = std::atoi(opt.positional[1].c_str());
+  spec.gates = opt_int("<gates>", opt.positional[0].c_str(), 1, 10000000);
+  spec.dffs = opt_int("<dffs>", opt.positional[1].c_str(), 0, 10000000);
   spec.inputs = 16;
   spec.outputs = 16;
   spec.name = "rand" + opt.positional[0];
