@@ -14,6 +14,15 @@ namespace serelin {
 
 namespace {
 
+// Numeric slack for path-delay comparisons. Wider than the solver's
+// internal 1e-9: the oracle sums delays in a different order, so it must
+// tolerate associativity noise without passing real violations.
+constexpr double kEps = 1e-6;
+
+// Relative tolerance of the SER cross-check (analysis is deterministic, so
+// only summation-order noise needs absorbing).
+constexpr double kSerRelTol = 1e-9;
+
 // Forward STA over the one-cycle combinational network: arrival time at
 // every node's *output*, with sources (PIs, register Qs, constants)
 // launching at 0. Independent of GraphTiming on purpose.
@@ -124,14 +133,14 @@ InvariantResult RetimingOracle::check_legality(const Retiming& r,
              std::to_string(r[p]) + " (must stay 0)"});
   }
   // Edge scan: w_r(u,v) = w + r(v) − r(u) ≥ 0 on every edge (paper Eq. 1).
-  // The first max_diagnostics findings are stored, in edge order; the
+  // The first kOracleMaxDiagnostics findings are stored, in edge order; the
   // detail string carries the exact count.
   std::size_t negative = 0;
   for (EdgeId eid = 0; eid < g_->edge_count(); ++eid) {
     const REdge& e = g_->edge(eid);
     const std::int64_t wr = static_cast<std::int64_t>(e.w) + r[e.to] -
                             r[e.from];
-    if (wr >= 0 || ++negative > opt_.max_diagnostics) continue;
+    if (wr >= 0 || ++negative > kOracleMaxDiagnostics) continue;
     v.diagnostics.report(
         {Severity::kError, DiagCode::kOracleLegality, {}, 0, 0,
          "edge " + std::to_string(eid) + " (" + std::to_string(e.from) +
@@ -140,7 +149,6 @@ InvariantResult RetimingOracle::check_legality(const Retiming& r,
              ", r(u) = " + std::to_string(r[e.from]) + ", r(v) = " +
              std::to_string(r[e.to]) + ")"});
   }
-  opt_.deadline.check("oracle/legality");
   if (moved_boundary == 0 && negative == 0)
     return {Invariant::kLegality, CheckStatus::kPass,
             std::to_string(g_->edge_count()) + " edges with w_r >= 0"};
@@ -159,9 +167,9 @@ InvariantResult RetimingOracle::check_period(const Netlist& retimed,
   double worst = 0.0;
   auto check_endpoint = [&](NodeId at, const std::string& what) {
     worst = std::max(worst, arrival[at]);
-    if (arrival[at] <= budget + opt_.eps) return;
+    if (arrival[at] <= budget + kEps) return;
     ++late;
-    if (v.diagnostics.count(DiagCode::kOraclePeriod) < opt_.max_diagnostics)
+    if (v.diagnostics.count(DiagCode::kOraclePeriod) < kOracleMaxDiagnostics)
       v.diagnostics.report(
           {Severity::kError, DiagCode::kOraclePeriod, {}, 0, 0,
            what + ": arrival " + fmt(arrival[at]) + " exceeds phi - Ts = " +
@@ -172,7 +180,6 @@ InvariantResult RetimingOracle::check_period(const Netlist& retimed,
                    "register " + retimed.node(ff).name + " D input");
   for (NodeId po : retimed.outputs())
     check_endpoint(po, "primary output " + retimed.node(po).name);
-  opt_.deadline.check("oracle/period");
   if (late == 0)
     return {Invariant::kPeriod, CheckStatus::kPass,
             "critical path " + fmt(worst) + " <= " + fmt(budget)};
@@ -200,12 +207,11 @@ InvariantResult RetimingOracle::check_elw(const Netlist& retimed,
   std::size_t checked = 0;
   auto report = [&](const std::string& msg) {
     ++violations;
-    if (v.diagnostics.count(DiagCode::kOracleElw) < opt_.max_diagnostics)
+    if (v.diagnostics.count(DiagCode::kOracleElw) < kOracleMaxDiagnostics)
       v.diagnostics.report(
           {Severity::kError, DiagCode::kOracleElw, {}, 0, 0, msg});
   };
   for (NodeId ff : retimed.dffs()) {
-    opt_.deadline.check("oracle/elw");
     const Node& reg = retimed.node(ff);
     if (retimed.is_output(ff)) {
       // Register delivered straight to a primary output: the short path is
@@ -222,7 +228,7 @@ InvariantResult RetimingOracle::check_elw(const Netlist& retimed,
       if (elw.elw[fo].empty()) continue;  // dangling cone: nothing latches
       ++checked;
       const double latest = elw.elw[fo].right() - lib.delay(f.type);
-      if (latest <= bound + opt_.eps) continue;
+      if (latest <= bound + kEps) continue;
       report("register " + reg.name + " -> gate " + f.name +
              ": glitches latch until " + fmt(latest) +
              " > phi + Th - R_min = " + fmt(bound) + " (short path " +
@@ -263,7 +269,6 @@ InvariantResult RetimingOracle::check_objective(const SolverResult& result,
     return sum;
   };
   const std::int64_t recomputed = total(initial) - total(result.r);
-  opt_.deadline.check("oracle/objective");
   if (recomputed == result.objective_gain)
     return {Invariant::kObjective, CheckStatus::kPass,
             "reported gain " + std::to_string(result.objective_gain) +
@@ -322,7 +327,7 @@ void RetimingOracle::verify_ser(const Retiming& r, double reported,
   const double scale =
       std::max({std::fabs(reported), std::fabs(report.total), 1e-12});
   if (obj->status == CheckStatus::kSkipped) obj->detail.clear();
-  if (std::fabs(report.total - reported) <= opt_.ser_rel_tol * scale) {
+  if (std::fabs(report.total - reported) <= kSerRelTol * scale) {
     if (obj->status != CheckStatus::kFail) {
       obj->status = CheckStatus::kPass;
       if (!obj->detail.empty()) obj->detail += "; ";

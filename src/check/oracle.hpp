@@ -10,8 +10,8 @@
 //
 //   1. LEGALITY  — a direct edge loop over w(e) + r(v) − r(u) ≥ 0 and the
 //      pinned boundary labels (paper Eq. 1). A plain sequential loop that
-//      stores the first max_diagnostics negative edges in edge order, so
-//      the verdict is the same at every thread count.
+//      stores the first kOracleMaxDiagnostics negative edges in edge order,
+//      so the verdict is the same at every thread count.
 //   2. PERIOD    — the retiming is *materialized* with apply_retiming and
 //      a plain forward STA over the rebuilt netlist checks every
 //      register-D / primary-output arrival against Φ − Ts. No GraphTiming,
@@ -29,9 +29,9 @@
 // Failures come back as a structured Verdict: one InvariantResult per
 // invariant plus oracle-* diagnostics in a DiagnosticSink, so tools can
 // render and scripts can match codes. The oracle never throws on a wrong
-// result — only on violated preconditions (size mismatches) or an expired
-// verification deadline (CancelledError, all-or-nothing like the other
-// analysis kernels).
+// result — only on violated preconditions (size mismatches). It takes no
+// deadline: the pipeline verifies unbudgeted on purpose, so degradation
+// after an expired budget still ends in a verified result.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,6 @@
 #include "netlist/netlist.hpp"
 #include "rgraph/retiming_graph.hpp"
 #include "ser/ser_analyzer.hpp"
-#include "support/deadline.hpp"
 #include "support/diag.hpp"
 #include "timing/params.hpp"
 
@@ -92,6 +91,9 @@ struct Verdict {
   std::string summary() const;
 };
 
+/// Cap on per-invariant diagnostics kept in a Verdict.
+inline constexpr std::size_t kOracleMaxDiagnostics = 64;
+
 struct OracleOptions {
   TimingParams timing;  ///< the Φ / Ts / Th the result claims to meet
   double rmin = 0.0;    ///< P2' bound; the ELW check is vacuous when ≤ 0
@@ -101,18 +103,6 @@ struct OracleOptions {
   /// §VII area augmentation the solver ran with (0 = paper objective);
   /// folded into the objective recomputation exactly as compute_gains does.
   double area_weight = 0.0;
-  /// Numeric slack for path-delay comparisons. Wider than the solver's
-  /// internal 1e-9: the oracle sums delays in a different order, so it
-  /// must tolerate associativity noise without passing real violations.
-  double eps = 1e-6;
-  /// Relative tolerance of the SER cross-check (analysis is deterministic,
-  /// so only summation-order noise needs absorbing).
-  double ser_rel_tol = 1e-9;
-  /// Verification budget. The oracle is all-or-nothing: expiry throws
-  /// CancelledError, it never returns a half-verified Verdict.
-  Deadline deadline;
-  /// Cap on per-invariant diagnostics kept in the Verdict.
-  std::size_t max_diagnostics = 64;
 };
 
 class RetimingOracle {

@@ -8,6 +8,13 @@
 
 namespace serelin {
 
+namespace {
+
+/// Binary-search resolution on the period.
+constexpr double kPeriodTolerance = 1e-3;
+
+}  // namespace
+
 MinPeriodRetimer::MinPeriodRetimer(const RetimingGraph& g, Options options)
     : g_(&g), opt_(options) {}
 
@@ -96,7 +103,7 @@ MinPeriodRetimer::Result MinPeriodRetimer::minimize() const {
                          std::to_string(best.period);
       return best;
     }
-    if (hi - lo <= opt_.tolerance) return best;
+    if (hi - lo <= kPeriodTolerance) return best;
     const double mid = 0.5 * (lo + hi);
     if (auto r = retime_for_period(mid, zero)) {
       hi = mid;

@@ -27,8 +27,6 @@ class MinPeriodRetimer {
     /// FEAS pass budget; 0 means |V| (the exact bound, which can be slow on
     /// very large graphs — the experiment harness uses a smaller budget).
     int max_passes = 0;
-    /// Binary-search resolution on the period.
-    double tolerance = 1e-3;
     /// Wall-clock / cancellation budget. On expiry minimize() stops the
     /// binary search and returns the best feasible result found so far
     /// (stop_reason set); a FEAS probe interrupted mid-run counts as
@@ -45,8 +43,9 @@ class MinPeriodRetimer {
   struct Result {
     double period = 0.0;  ///< smallest feasible period found
     Retiming r;           ///< a retiming achieving it
-    /// kNone: converged to tolerance. Otherwise the search stopped early;
-    /// `r` still legally achieves `period` (it may just not be minimal).
+    /// kNone: converged to the search resolution (1e-3). Otherwise the
+    /// search stopped early; `r` still legally achieves `period` (it may
+    /// just not be minimal).
     StopReason stop_reason = StopReason::kNone;
     /// Human-readable account of an early stop; non-empty whenever
     /// stop_reason != kNone, so callers (in particular the differential

@@ -28,69 +28,6 @@ RegularForest::RegularForest(std::span<const std::int64_t> gain,
   }
 }
 
-RegularForest::RegularForest(std::span<const std::int64_t> gain,
-                             std::span<const char> movable,
-                             const ForestState& state)
-    : b_(gain.begin(), gain.end()),
-      movable_(movable.begin(), movable.end()) {
-  SERELIN_REQUIRE(gain.size() == movable.size(), "gain/movable size mismatch");
-  const std::size_t n = gain.size();
-  SERELIN_REQUIRE(state.parent.size() == n && state.children.size() == n &&
-                      state.u.size() == n && state.w.size() == n,
-                  "forest snapshot size mismatch");
-  parent_ = state.parent;
-  children_ = state.children;
-  w_ = state.w;
-  u_.assign(n, false);
-  for (std::size_t v = 0; v < n; ++v) {
-    SERELIN_REQUIRE(w_[v] >= 1, "forest snapshot has non-positive weight");
-    u_[v] = state.u[v] != 0;
-  }
-  // Recompute the derived subtree sums bottom-up from each root. The
-  // traversal doubles as a structural check: every vertex must be reached
-  // exactly once from exactly one root (no cycles, no orphans).
-  big_b_.assign(n, 0);
-  blocked_.assign(n, 0);
-  std::size_t reached = 0;
-  for (VertexId root = 0; root < n; ++root) {
-    if (parent_[root] != kNullVertex) continue;
-    std::vector<std::pair<VertexId, std::size_t>> stack{{root, 0}};
-    while (!stack.empty()) {
-      auto& [x, idx] = stack.back();
-      if (idx == 0) {
-        SERELIN_REQUIRE(++reached <= n, "forest snapshot has a cycle");
-        big_b_[x] = b_[x] * w_[x];
-        blocked_[x] = movable_[x] ? 0 : 1;
-      }
-      if (idx < children_[x].size()) {
-        const VertexId c = children_[x][idx++];
-        SERELIN_REQUIRE(c < n && parent_[c] == x,
-                        "forest snapshot parent/child lists disagree");
-        stack.emplace_back(c, 0);
-      } else {
-        const VertexId done = x;
-        stack.pop_back();
-        if (!stack.empty()) {
-          big_b_[stack.back().first] += big_b_[done];
-          blocked_[stack.back().first] += blocked_[done];
-        }
-      }
-    }
-  }
-  SERELIN_REQUIRE(reached == n, "forest snapshot has unreachable vertices");
-  check_invariants();
-}
-
-ForestState RegularForest::state() const {
-  ForestState s;
-  s.parent = parent_;
-  s.children = children_;
-  s.u.assign(u_.size(), 0);
-  for (std::size_t v = 0; v < u_.size(); ++v) s.u[v] = u_[v] ? 1 : 0;
-  s.w = w_;
-  return s;
-}
-
 VertexId RegularForest::root_of(VertexId v) const {
   while (parent_[v] != kNullVertex) v = parent_[v];
   return v;

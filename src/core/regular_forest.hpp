@@ -39,33 +39,11 @@
 
 namespace serelin {
 
-/// Complete structural snapshot of a RegularForest — everything the
-/// derived fields (B, blocked) are recomputed from. Children order is part
-/// of the state: positive_set and the regularity scan iterate child lists
-/// in stored order, so a resumed forest must preserve it to stay
-/// bit-identical with the uninterrupted run (docs/ROBUSTNESS.md §11).
-struct ForestState {
-  std::vector<VertexId> parent;               ///< kNullVertex for roots
-  std::vector<std::vector<VertexId>> children;
-  std::vector<char> u;                        ///< direction flags U(v)
-  std::vector<std::int32_t> w;                ///< per-vertex move weights
-};
-
 class RegularForest {
  public:
   /// `gain[v]` = b(v); `movable[v]` = false for boundary vertices.
   RegularForest(std::span<const std::int64_t> gain,
                 std::span<const char> movable);
-
-  /// Restores a snapshot: adopts the structure, recomputes the derived
-  /// fields, and validates the result with check_invariants (a damaged or
-  /// mismatched snapshot throws instead of resuming wrong).
-  RegularForest(std::span<const std::int64_t> gain,
-                std::span<const char> movable, const ForestState& state);
-
-  /// Snapshot for checkpointing; round-trips exactly through the
-  /// restoring constructor.
-  ForestState state() const;
 
   std::size_t size() const { return parent_.size(); }
 

@@ -2,7 +2,6 @@
 
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/regular_forest.hpp"
@@ -14,82 +13,11 @@
 
 namespace serelin {
 
-std::string SolverProgress::encode() const {
-  BinWriter w;
-  w.u32(static_cast<std::uint32_t>(r.size()));
-  for (const std::int32_t rv : r) w.i32(rv);
-  w.i32(commits);
-  w.i64(iterations);
-  w.i64(objective_gain);
-  w.i32(pass_commits);
-  for (const char a : avoid) w.u8(static_cast<std::uint8_t>(a));
-  for (const VertexId p : forest.parent) w.u32(p);
-  for (const auto& kids : forest.children) {
-    w.u32(static_cast<std::uint32_t>(kids.size()));
-    for (const VertexId c : kids) w.u32(c);
-  }
-  for (const char u : forest.u) w.u8(static_cast<std::uint8_t>(u));
-  for (const std::int32_t fw : forest.w) w.i32(fw);
-  return w.take();
-}
-
-SolverProgress SolverProgress::decode(std::string_view bytes) {
-  BinReader rd(bytes);
-  SolverProgress p;
-  const std::uint32_t n = rd.u32();
-  p.r.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.r[i] = rd.i32();
-  p.commits = rd.i32();
-  p.iterations = rd.i64();
-  p.objective_gain = rd.i64();
-  p.pass_commits = rd.i32();
-  p.avoid.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    p.avoid[i] = static_cast<char>(rd.u8());
-  p.forest.parent.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.forest.parent[i] = rd.u32();
-  p.forest.children.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t kids = rd.u32();
-    if (kids > n)
-      throw ParseError("solver progress: impossible child count " +
-                       std::to_string(kids));
-    p.forest.children[i].resize(kids);
-    for (std::uint32_t k = 0; k < kids; ++k)
-      p.forest.children[i][k] = rd.u32();
-  }
-  p.forest.u.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    p.forest.u[i] = static_cast<char>(rd.u8());
-  p.forest.w.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) p.forest.w[i] = rd.i32();
-  if (!rd.done())
-    throw ParseError("solver progress: trailing bytes past the snapshot");
-  return p;
-}
-
 MinObsWinSolver::MinObsWinSolver(const RetimingGraph& g, const ObsGains& gains,
                                  SolverOptions options)
     : g_(&g), gains_(&gains), opt_(options) {
   SERELIN_REQUIRE(gains.gain.size() == g.vertex_count(),
                   "gains must be indexed by VertexId");
-}
-
-void MinObsWinSolver::offer_checkpoint(const SolverResult& out,
-                                       const std::vector<char>& avoid,
-                                       const RegularForest& forest,
-                                       int pass_commits) const {
-  opt_.checkpoint.offer([&](CheckpointImage& image) {
-    SolverProgress p;
-    p.r = out.r;
-    p.commits = out.commits;
-    p.iterations = out.iterations;
-    p.objective_gain = out.objective_gain;
-    p.pass_commits = pass_commits;
-    p.avoid = avoid;
-    p.forest = forest.state();
-    image.sections.emplace_back("solver", p.encode());
-  });
 }
 
 /// Folds every P0 implication of the positive set into `forest` (step 1 in
@@ -147,9 +75,8 @@ std::optional<std::vector<VertexId>> MinObsWinSolver::close_p0(
   }
 }
 
-/// One run of the Algorithm-1 loop over `forest` (fresh from solve(), or a
-/// restored mid-pass forest from resume()). `pass_commits` counts this
-/// pass's commits; r, gain and iteration counters accumulate in `out`.
+/// One run of the Algorithm-1 loop over a fresh `forest`; returns the
+/// pass's commit count. r, gain and iteration counters accumulate in `out`.
 ///
 /// `avoid_q` (size |V|, may be empty) marks fix targets that a previous
 /// pass proved to dead-end in a blocked tree; when a P2' violation's
@@ -157,15 +84,15 @@ std::optional<std::vector<VertexId>> MinObsWinSolver::close_p0(
 /// not, the alternate is folded instead. `frozen` is filled with the
 /// vertices of blocked trees at convergence — the dead-end evidence the
 /// next re-seeded pass learns from.
-void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
-                               GraphTiming& timing, SolverResult& out,
-                               const std::vector<char>& avoid_q,
-                               std::vector<char>& frozen,
-                               RegularForest& forest,
-                               int& pass_commits) const {
+int MinObsWinSolver::run_pass(const ConstraintChecker& checker,
+                              GraphTiming& timing, SolverResult& out,
+                              const std::vector<char>& avoid_q,
+                              std::vector<char>& frozen,
+                              RegularForest& forest) const {
   // Livelock safety budget on timing probes (and on closure rounds).
   const std::int64_t cap =
       4096 + 64 * static_cast<std::int64_t>(g_->vertex_count());
+  int pass_commits = 0;
 
   std::vector<char> movers(g_->vertex_count(), 0);
   std::string trail;  // recent violations, reported on budget exhaustion
@@ -180,9 +107,6 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
                         " during MinObsWin after " +
                         std::to_string(out.commits) +
                         " commit(s); returning best feasible retiming";
-      // Early stop: persist, so the operator's Ctrl-C (or the deadline)
-      // leaves a resumable snapshot of this exact state.
-      offer_checkpoint(out, avoid_q, forest, pass_commits);
       break;
     }
     const std::optional<std::vector<VertexId>> closed =
@@ -219,7 +143,6 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
       ++pass_commits;
       ++out.commits;
       SERELIN_COUNT(kSolverCommits, 1);
-      offer_checkpoint(out, avoid_q, forest, pass_commits);
       continue;
     }
 
@@ -271,41 +194,7 @@ void MinObsWinSolver::run_pass(const ConstraintChecker& checker,
     if (forest.subtree_blocked(root) > 0 || !forest.is_singleton(root))
       frozen[v] = 1;
   }
-}
-
-/// The outer Algorithm-1-until-convergence loop shared by solve() and
-/// resume(): repeat passes while they commit, then re-seed with grown
-/// avoid-hints (see solve() for the full rationale). `mid_pass_forest`,
-/// when non-null, is a restored checkpoint forest the first pass continues
-/// instead of starting fresh.
-SolverResult MinObsWinSolver::run_passes(const ConstraintChecker& checker,
-                                         GraphTiming& timing, SolverResult out,
-                                         std::vector<char> avoid,
-                                         RegularForest* mid_pass_forest,
-                                         int mid_pass_commits) const {
-  std::vector<char> movable(g_->vertex_count());
-  for (VertexId v = 0; v < g_->vertex_count(); ++v)
-    movable[v] = g_->movable(v);
-
-  std::vector<char> frozen;
-  bool resume_pass = mid_pass_forest != nullptr;
-  while (out.stop_reason == StopReason::kNone) {
-    int pass_commits = resume_pass ? mid_pass_commits : 0;
-    RegularForest fresh(gains_->gain, movable);
-    RegularForest& forest = resume_pass ? *mid_pass_forest : fresh;
-    resume_pass = false;
-    run_pass(checker, timing, out, avoid, frozen, forest, pass_commits);
-    if (pass_commits > 0) continue;
-    bool grew = false;
-    for (VertexId v = 0; v < g_->vertex_count(); ++v) {
-      if (frozen[v] && !avoid[v]) {
-        avoid[v] = 1;
-        grew = true;
-      }
-    }
-    if (!grew) break;
-  }
-  return out;
+  return pass_commits;
 }
 
 SolverResult MinObsWinSolver::solve(const Retiming& initial) const {
@@ -339,45 +228,24 @@ SolverResult MinObsWinSolver::solve(const Retiming& initial) const {
   // — the resolution an implication chain into an immovable vertex ruled
   // out. Re-seeding repeats only while the hint set grows (at most |V|
   // times), so termination is preserved.
-  std::vector<char> avoid(g_->vertex_count(), 0);
-  return run_passes(checker, timing, std::move(out), std::move(avoid),
-                    nullptr, 0);
-}
-
-SolverResult MinObsWinSolver::resume(const SolverProgress& progress) const {
-  SERELIN_SPAN(opt_.enforce_elw ? "solver/minobswin" : "solver/minobs");
-  SERELIN_REQUIRE(progress.r.size() == g_->vertex_count() &&
-                      progress.avoid.size() == g_->vertex_count(),
-                  "solver progress snapshot is for a different graph");
-  SERELIN_REQUIRE(g_->valid(progress.r),
-                  "solver progress carries an invalid retiming");
-  const double rmin = opt_.enforce_elw ? opt_.rmin : 0.0;
-  ConstraintChecker checker(*g_, opt_.timing, rmin);
-  GraphTiming timing(*g_, opt_.timing);
-
-  SolverResult out;
-  out.r = progress.r;
-  out.commits = progress.commits;
-  out.iterations = progress.iterations;
-  out.objective_gain = progress.objective_gain;
-
-  // Snapshots are only taken at feasible states (commit points and early
-  // stops), so a violation here means the snapshot does not belong to this
-  // circuit/options after all.
-  timing.compute(out.r);
-  SERELIN_REQUIRE(!checker.find_violation(out.r, timing),
-                  "solver progress snapshot is not feasible under these "
-                  "options (wrong circuit or parameters?)");
-
   std::vector<char> movable(g_->vertex_count());
   for (VertexId v = 0; v < g_->vertex_count(); ++v)
     movable[v] = g_->movable(v);
-  // The restoring constructor revalidates structure and invariants, so a
-  // damaged snapshot throws here instead of resuming wrong.
-  RegularForest forest(gains_->gain, movable, progress.forest);
-
-  return run_passes(checker, timing, std::move(out), progress.avoid, &forest,
-                    progress.pass_commits);
+  std::vector<char> avoid(g_->vertex_count(), 0);
+  std::vector<char> frozen;
+  while (out.stop_reason == StopReason::kNone) {
+    RegularForest forest(gains_->gain, movable);
+    if (run_pass(checker, timing, out, avoid, frozen, forest) > 0) continue;
+    bool grew = false;
+    for (VertexId v = 0; v < g_->vertex_count(); ++v) {
+      if (frozen[v] && !avoid[v]) {
+        avoid[v] = 1;
+        grew = true;
+      }
+    }
+    if (!grew) break;
+  }
+  return out;
 }
 
 }  // namespace serelin

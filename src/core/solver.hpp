@@ -45,13 +45,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/objective.hpp"
-#include "core/regular_forest.hpp"
 #include "rgraph/retiming_graph.hpp"
-#include "support/checkpoint.hpp"
 #include "support/deadline.hpp"
 #include "timing/params.hpp"
 
@@ -65,11 +62,6 @@ struct SolverOptions {
   /// checkpoints; on expiry they return the best feasible retiming found
   /// so far with stop_reason set (a Partial result), never an illegal one.
   Deadline deadline;
-  /// MinObsWinSolver's durable progress snapshots (docs/ROBUSTNESS.md §11):
-  /// default-disabled, persisted at every commit (a feasible state) and on
-  /// an early stop. A SIGKILLed solve resumes from the last snapshot and
-  /// reaches the bit-identical final result. ClosureSolver ignores it.
-  CheckpointSink checkpoint;
 };
 
 struct SolverResult {
@@ -89,25 +81,6 @@ struct SolverResult {
   bool partial() const { return stop_reason != StopReason::kNone; }
 };
 
-/// Complete mid-solve state of MinObsWinSolver, as serialized into the
-/// "solver" section of a checkpoint (support/checkpoint.hpp): the committed
-/// retiming plus everything the remaining computation depends on. Timing
-/// labels are recomputed from `r` on resume; at a commit point no
-/// tentative move is in flight, so nothing else exists to save.
-struct SolverProgress {
-  Retiming r;                       ///< last committed (feasible) retiming
-  int commits = 0;                  ///< SolverResult counters so far
-  std::int64_t iterations = 0;
-  std::int64_t objective_gain = 0;
-  int pass_commits = 0;             ///< commits within the current pass
-  std::vector<char> avoid;          ///< re-seed hints (solve()'s avoid set)
-  ForestState forest;               ///< the current pass's forest
-
-  std::string encode() const;
-  /// Throws serelin::ParseError on truncated/garbled bytes.
-  static SolverProgress decode(std::string_view bytes);
-};
-
 class MinObsWinSolver {
  public:
   MinObsWinSolver(const RetimingGraph& g, const ObsGains& gains,
@@ -116,31 +89,15 @@ class MinObsWinSolver {
   /// Runs Algorithm 1 from the (feasible) initial retiming.
   SolverResult solve(const Retiming& initial) const;
 
-  /// Continues an interrupted solve from a SolverProgress snapshot,
-  /// reaching the bit-identical result the uninterrupted run would have
-  /// (the crash-campaign contract). The caller is responsible for matching
-  /// the snapshot to this graph/options (the checkpoint fingerprint);
-  /// structurally impossible snapshots throw.
-  SolverResult resume(const SolverProgress& progress) const;
-
  private:
   std::optional<std::vector<VertexId>> close_p0(const Retiming& r,
                                                 class RegularForest& forest,
                                                 std::vector<char>& marked,
                                                 std::int64_t cap) const;
-  void run_pass(const class ConstraintChecker& checker,
-                class GraphTiming& timing, SolverResult& out,
-                const std::vector<char>& avoid_q, std::vector<char>& frozen,
-                class RegularForest& forest, int& pass_commits) const;
-  SolverResult run_passes(const class ConstraintChecker& checker,
-                          class GraphTiming& timing, SolverResult out,
-                          std::vector<char> avoid,
-                          class RegularForest* mid_pass_forest,
-                          int mid_pass_commits) const;
-  void offer_checkpoint(const SolverResult& out,
-                        const std::vector<char>& avoid,
-                        const class RegularForest& forest,
-                        int pass_commits) const;
+  int run_pass(const class ConstraintChecker& checker,
+               class GraphTiming& timing, SolverResult& out,
+               const std::vector<char>& avoid_q, std::vector<char>& frozen,
+               class RegularForest& forest) const;
 
   const RetimingGraph* g_;
   const ObsGains* gains_;

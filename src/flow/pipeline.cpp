@@ -18,6 +18,7 @@
 #include "support/atomic_io.hpp"
 #include "support/check.hpp"
 #include "support/checkpoint.hpp"
+#include "support/corpus.hpp"
 #include "support/metrics.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
@@ -97,9 +98,8 @@ void journal_attempt(RunJournal& journal, const StageAttempt& a,
   journal.write(o);
 }
 
-/// The checkpoint's "pipeline" context section: which stage/attempt the
-/// snapshot was taken inside.
-std::string encode_pipeline_section(int stage, int attempt) {
+/// The checkpoint's one section: the stage/attempt in flight.
+std::string encode_pipeline_section(PipelineStage stage, int attempt) {
   BinWriter w;
   w.u32(static_cast<std::uint32_t>(stage));
   w.u32(static_cast<std::uint32_t>(attempt));
@@ -122,7 +122,7 @@ std::uint64_t pipeline_fingerprint(const Netlist& nl,
   // The exact circuit, via its canonical BENCH text, plus every option
   // that can change the accepted result. Budgets and paths (deadline,
   // stage budget, journal, checkpoint) are deliberately excluded: they
-  // change *when* snapshots happen, never what a completed run computes.
+  // change *when* a run stops, never what a completed run computes.
   std::ostringstream bench;
   write_bench(bench, nl);
   BinWriter w;
@@ -142,13 +142,7 @@ std::uint64_t pipeline_fingerprint(const Netlist& nl,
   f64(options.area_weight);
   w.u8(options.verify ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(options.start));
-  // FNV-1a 64 over the packed bytes: stable across platforms and runs.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : w.bytes()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return content_hash(w.bytes());
 }
 
 StageRunner::StageRunner(const Netlist& nl, const CellLibrary& lib,
@@ -178,9 +172,8 @@ const ObsGains& StageRunner::gains(const Deadline& budget) {
   return *gains_;
 }
 
-StageCandidate StageRunner::solve(PipelineStage stage, const Deadline& budget,
-                                  const CheckpointSink& sink,
-                                  const std::string* solver_snapshot) {
+StageCandidate StageRunner::solve(PipelineStage stage,
+                                  const Deadline& budget) {
   StageCandidate c;
   c.timing = timing_;
   c.rmin = rmin_;
@@ -199,11 +192,7 @@ StageCandidate StageRunner::solve(PipelineStage stage, const Deadline& budget,
       so.rmin = rmin_;
       so.enforce_elw = area ? rmin_ > 0.0 : stage == PipelineStage::kMinObsWin;
       so.deadline = budget;
-      so.checkpoint = sink;
-      MinObsWinSolver solver(g_, stage_gains, so);
-      c.result = solver_snapshot
-                     ? solver.resume(SolverProgress::decode(*solver_snapshot))
-                     : solver.solve(init_.r);
+      c.result = MinObsWinSolver(g_, stage_gains, so).solve(init_.r);
       c.check_elw = stage == PipelineStage::kMinObsWin && rmin_ > 0 &&
                     !c.result.exited_early;
       c.has_gains = !area;
@@ -348,9 +337,9 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
     journal.write(o);
   }
 
-  CheckpointSink sink;
-  if (!options.checkpoint_path.empty())
-    sink = CheckpointSink(options.checkpoint_path, "pipeline", fingerprint);
+  // Checkpointing never fails a run: after the first failed write (disk
+  // full, missing directory...) the run goes on without it.
+  bool checkpointing = !options.checkpoint_path.empty();
 
   Stopwatch init_watch;
   StageRunner runner(nl, lib, options);
@@ -367,16 +356,16 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
     journal.write(o);
   }
 
-  // On resume the chain re-enters at the snapshot's stage/attempt; the
-  // first attempt of that stage continues from the solver's own progress
-  // section when the snapshot carries one (a stage-boundary snapshot does
-  // not, and the stage simply restarts — same result either way).
-  bool consume_snapshot = resuming;
+  // On resume the chain re-enters at the checkpoint's stage/attempt and
+  // reruns that attempt from the Section-V start: every engine is
+  // deterministic, so the rerun reaches the uninterrupted run's result.
+  // Other sections, such as the "solver" snapshot older binaries wrote,
+  // are ignored.
+  int first_attempt = resume_attempt;
   for (std::size_t pos = resume_pos; pos < chain.size(); ++pos) {
     const PipelineStage stage = chain[pos];
     const auto stages_left = static_cast<double>(chain.size() - pos);
-    for (int attempt = consume_snapshot ? resume_attempt : 0; attempt < 2;
-         ++attempt) {
+    for (int attempt = first_attempt; attempt < 2; ++attempt) {
       const double auto_budget =
           options.deadline.remaining_seconds() / stages_left;
       const double budget =
@@ -387,20 +376,14 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
       const Deadline slice = options.deadline.slice(budget);
       SERELIN_COUNT(kDeadlineSlices, 1);
 
-      // Snapshots written inside this attempt carry its stage/attempt as
-      // context; the attempt-entry force marks the stage boundary durably
-      // even if the solver below never offers.
-      CheckpointSink stage_sink;
-      if (sink.enabled()) {
-        stage_sink = sink.with_section(
-            "pipeline",
-            encode_pipeline_section(static_cast<int>(stage), attempt));
-        stage_sink.offer([](CheckpointImage&) {});
-      }
-      const std::string* solver_snapshot = nullptr;
-      if (consume_snapshot) {
-        consume_snapshot = false;
-        solver_snapshot = snapshot.find("solver");
+      if (checkpointing) {
+        CheckpointImage image;
+        image.kind = "pipeline";
+        image.fingerprint = fingerprint;
+        image.sections.emplace_back("pipeline",
+                                    encode_pipeline_section(stage, attempt));
+        checkpointing = try_atomic_write_file(options.checkpoint_path,
+                                              encode_checkpoint(image));
       }
 
       StageAttempt rec;
@@ -413,7 +396,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
       Stopwatch watch;
       try {
         SERELIN_SPAN(stage_span_name(stage));
-        candidate = runner.solve(stage, slice, stage_sink, solver_snapshot);
+        candidate = runner.solve(stage, slice);
       } catch (const CancelledError& e) {
         rec.errored = true;
         rec.error = e.what();
@@ -467,6 +450,7 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
         continue;
       break;  // degrade to the next stage
     }
+    first_attempt = 0;
   }
 
   // Unreachable in practice — the identity stage always verifies — but a

@@ -45,7 +45,6 @@
 #include "netlist/netlist.hpp"
 #include "rgraph/retiming_graph.hpp"
 #include "sim/observability.hpp"
-#include "support/checkpoint.hpp"
 #include "support/deadline.hpp"
 #include "timing/params.hpp"
 
@@ -98,16 +97,16 @@ struct PipelineOptions {
   /// chain).
   PipelineStage start = PipelineStage::kMinObsWin;
   /// Durable checkpoint file (docs/ROBUSTNESS.md §11); empty = no
-  /// checkpointing. The file always holds a complete snapshot: the stage /
-  /// attempt in flight plus the underlying solver's progress section. It
-  /// is rewritten at every attempt's entry, every MinObsWin commit and
-  /// every early stop.
+  /// checkpointing. The file holds one section, the stage / attempt in
+  /// flight, rewritten atomically at every attempt's entry. A failed write
+  /// ends checkpointing for the rest of the run, never the run itself.
   std::string checkpoint_path;
-  /// Existing checkpoint to resume from; empty = fresh run. The snapshot's
-  /// fingerprint must match this circuit + these options (else throws),
-  /// and the resumed run reaches the bit-identical accepted result the
-  /// uninterrupted one would have. When `journal_path` names an existing
-  /// journal, its (possibly torn) tail is recovered and appended to.
+  /// Existing checkpoint to resume from; empty = fresh run. The
+  /// checkpoint's fingerprint must match this circuit + these options
+  /// (else throws); the resumed run reruns the checkpointed attempt and
+  /// reaches the bit-identical accepted result the uninterrupted one would
+  /// have. When `journal_path` names an existing journal, its (possibly
+  /// torn) tail is recovered and appended to.
   std::string resume_path;
 };
 
@@ -178,14 +177,10 @@ class StageRunner {
   /// The Eq. (5) gains of that observability, computed once likewise.
   const ObsGains& gains(const Deadline& budget = {});
 
-  /// Runs one stage under `budget`, offering solver snapshots to `sink`;
-  /// a non-null `solver_snapshot` resumes the stage's solver from it.
-  /// Throws CancelledError when an all-or-nothing kernel runs out of
-  /// budget and Error when the min-period stage finds the target Φ
-  /// infeasible.
-  StageCandidate solve(PipelineStage stage, const Deadline& budget = {},
-                       const CheckpointSink& sink = {},
-                       const std::string* solver_snapshot = nullptr);
+  /// Runs one stage under `budget`. Throws CancelledError when an
+  /// all-or-nothing kernel runs out of budget and Error when the
+  /// min-period stage finds the target Φ infeasible.
+  StageCandidate solve(PipelineStage stage, const Deadline& budget = {});
 
   /// The independent oracle's verdict on `c`. Unbudgeted on purpose:
   /// degradation after an expired deadline still ends in a verified

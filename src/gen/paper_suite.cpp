@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/check.hpp"
+#include "support/corpus.hpp"
 
 namespace serelin {
 
@@ -44,11 +45,7 @@ const SuiteCircuit& suite_circuit(const std::string& name) {
 }
 
 Netlist generate_suite_circuit(const SuiteCircuit& row, std::uint64_t seed) {
-  if (seed == 0) {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : row.name) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-    seed = h;
-  }
+  if (seed == 0) seed = content_hash(row.name);
   RandomCircuitSpec spec;
   spec.name = row.name;
   spec.gates = row.vertices;

@@ -130,37 +130,4 @@ bool load_checkpoint(const std::string& path, CheckpointImage& image) {
   return true;
 }
 
-CheckpointSink::CheckpointSink(std::string path, std::string kind,
-                               std::uint64_t fingerprint)
-    : impl_(std::make_shared<Impl>()) {
-  SERELIN_REQUIRE(!path.empty(), "a checkpoint sink needs a path");
-  impl_->path = std::move(path);
-  impl_->kind = std::move(kind);
-  impl_->fingerprint = fingerprint;
-}
-
-bool CheckpointSink::healthy() const {
-  return !impl_ || impl_->healthy.load(std::memory_order_relaxed);
-}
-
-CheckpointSink CheckpointSink::with_section(std::string name,
-                                            std::string blob) const {
-  CheckpointSink out = *this;
-  out.context_.emplace_back(std::move(name), std::move(blob));
-  return out;
-}
-
-void CheckpointSink::offer(
-    const std::function<void(CheckpointImage&)>& fill) const {
-  if (!impl_ || !impl_->healthy.load(std::memory_order_relaxed)) return;
-  CheckpointImage image;
-  image.kind = impl_->kind;
-  image.fingerprint = impl_->fingerprint;
-  image.sections = context_;
-  fill(image);
-  std::string error;
-  if (!try_atomic_write_file(impl_->path, encode_checkpoint(image), &error))
-    impl_->healthy.store(false, std::memory_order_relaxed);
-}
-
 }  // namespace serelin

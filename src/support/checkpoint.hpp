@@ -1,5 +1,4 @@
-// Versioned solver checkpoints and the CheckpointSink (docs/ROBUSTNESS.md
-// §11).
+// Versioned pipeline checkpoints (docs/ROBUSTNESS.md §11).
 //
 // A checkpoint file is a single atomic artifact (written through
 // atomic_write_file, so it is always either absent, the previous complete
@@ -9,30 +8,21 @@
 //   u32          format version (kCheckpointVersion)
 //   str          kind ("pipeline")
 //   u64          fingerprint — hash of the inputs the snapshot is only
-//                valid for (circuit + solver options); a resume against a
-//                different input is rejected, never silently wrong
+//                valid for (circuit + pipeline options); a resume against
+//                a different input is rejected, never silently wrong
 //   u32          section count, then per section: str name, str blob
 //   u32          CRC-32 of every preceding byte
 //
-// Sections are opaque named blobs; the owning layer (core solver, flow
-// pipeline) encodes its state with BinWriter and decodes with BinReader,
-// keeping support/ free of solver types. Integers are packed explicitly
-// little-endian so a checkpoint is bit-stable across platforms — the
-// resumed-equals-fresh contract is checked bitwise.
-//
-// CheckpointSink rides in SolverOptions next to the Deadline: a cheap
-// value type, default-disabled, copies sharing one health flag. MinObsWin
-// offer()s a snapshot at every safe point (a committed, feasible state,
-// or an early stop) and the sink persists every offer — never on a
-// wall-clock cadence, so a fixed seed reproduces the exact same sequence
-// of on-disk snapshots. Commits are few per solve (single digits on every
-// measured circuit), so one write per commit is cheap.
+// Sections are opaque named blobs; the owning layer (the flow pipeline,
+// which writes the one "pipeline" section at each attempt's entry) encodes
+// its state with BinWriter and decodes with BinReader, keeping support/
+// free of solver types. Readers skip sections they do not know, so files
+// that carry older engine sections still load. Integers are packed
+// explicitly little-endian so a checkpoint is bit-stable across
+// platforms — the resumed-equals-fresh contract is checked bitwise.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,41 +96,5 @@ void save_checkpoint(const std::string& path, const CheckpointImage& image);
 /// Loads `path` into `image`. Returns false when the file is missing;
 /// throws serelin::ParseError when it exists but is damaged.
 bool load_checkpoint(const std::string& path, CheckpointImage& image);
-
-/// Destination for solver progress snapshots; see the header comment.
-class CheckpointSink {
- public:
-  /// Disabled sink: offer() is a no-op.
-  CheckpointSink() = default;
-
-  CheckpointSink(std::string path, std::string kind,
-                 std::uint64_t fingerprint);
-
-  bool enabled() const { return impl_ != nullptr; }
-
-  /// False once a snapshot write has failed (disk full...); snapshots are
-  /// then swallowed — durability degrades, the solve never aborts.
-  bool healthy() const;
-
-  /// A copy that prepends one pre-encoded section to every snapshot it
-  /// writes — how the pipeline stamps stage context onto the snapshots
-  /// the solver underneath it offers. Shares the health flag.
-  CheckpointSink with_section(std::string name, std::string blob) const;
-
-  /// Persists one snapshot: `fill` populates the image's sections after
-  /// the context ones. A no-op on a disabled or unhealthy sink.
-  void offer(const std::function<void(CheckpointImage&)>& fill) const;
-
- private:
-  struct Impl {
-    std::string path;
-    std::string kind;
-    std::uint64_t fingerprint = 0;
-    std::atomic<bool> healthy{true};
-  };
-
-  std::shared_ptr<Impl> impl_;
-  std::vector<std::pair<std::string, std::string>> context_;
-};
 
 }  // namespace serelin

@@ -21,7 +21,8 @@
 namespace serelin {
 
 /// FNV-1a 64-bit over `text`. Stable across platforms and runs (no seed),
-/// which is exactly what corpus dedup needs; not cryptographic.
+/// which is what corpus dedup, the pipeline fingerprint and the suite
+/// circuits' name seeds need; not cryptographic.
 std::uint64_t content_hash(std::string_view text);
 
 /// Lower-case 16-hex-digit rendering of a hash.

@@ -1,9 +1,9 @@
 // Graceful SIGINT/SIGTERM handling for the tools (docs/ROBUSTNESS.md §11).
 //
 // Contract: the *first* signal trips a CancelToken — every solver then
-// stops at its next feasible checkpoint, the pipeline finalizes its
-// journal and forces a last checkpoint, and the tool exits with the
-// registered "interrupted" code (78) carrying a legal best-so-far result.
+// stops at its next feasible state, the pipeline finalizes its journal,
+// and the tool exits with the registered "interrupted" code (78) carrying
+// a legal best-so-far result.
 // A *second* signal means the operator wants out now: the handler restores
 // the default disposition and re-raises, so the process dies with the
 // conventional signal exit status.

@@ -95,7 +95,8 @@ TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
 
 TEST(CliGenerate, BadCountsExit64AndWriteNothing) {
   const std::string out = temp_path("cli-generate.bench");
-  for (const std::string counts : {"banana 10", "10abc 5", "-5 3", "20 -1"}) {
+  for (const std::string counts :
+       {"banana 10", "10abc 5", "-5 3", "20 -1", "--suite nope"}) {
     fs::remove(out);
     EXPECT_EQ(run(std::string(SERELIN_CLI_BIN) + " generate " + counts +
                   " " + out),

@@ -32,25 +32,26 @@
 //                      independent RetimingOracle (src/check) verifies it;
 //                      a rejected stage falls through the chain
 //   --journal <path>   JSONL record of every pipeline attempt
-//   --checkpoint <path> durable crash-safe progress snapshots
-//                      (docs/ROBUSTNESS.md §11)
-//   --resume <path>    continue a killed run from its checkpoint; reaches
-//                      the bit-identical result of an uninterrupted run
+//   --checkpoint <path> durable record of the pipeline stage and attempt
+//                      in flight (docs/ROBUSTNESS.md §11)
+//   --resume <path>    continue a killed run from its checkpoint: rerun the
+//                      attempt in flight and reach the bit-identical result
+//                      of an uninterrupted run
 //   --trace <path>     Chrome trace_event JSON of the whole command
 //                      (load in chrome://tracing or ui.perfetto.dev)
 //   --metrics <path>   flat JSON of the named solver/kernel counters
 //                      (schemas: docs/OBSERVABILITY.md)
 //
 // SIGINT/SIGTERM: the first signal stops every solver at its next feasible
-// checkpoint; the tool writes its best-so-far result (and forces a final
-// checkpoint when --checkpoint is on) and exits 78. A second signal kills
-// the process with the conventional signal status.
+// state; the tool writes its best-so-far result and exits 78. A second
+// signal kills the process with the conventional signal status.
 //
 // Exit codes (sysexits-style, see docs/ROBUSTNESS.md):
 //   0 success, 64 usage, 65 malformed input data, 70 internal error,
 //   75 deadline expired / degraded (partial result written),
 //   76 no pipeline stage produced a verified result (nothing written),
 //   78 interrupted by SIGINT/SIGTERM (clean partial result written)
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,7 +146,7 @@ struct Options {
   Deadline deadline;        // derived from deadline_s at parse time
   bool verify = false;      // oracle-check every stage result
   std::string journal;      // JSONL attempt journal
-  std::string checkpoint;   // durable progress snapshots
+  std::string checkpoint;   // durable stage/attempt record
   std::string resume;       // checkpoint to continue from
   std::string trace;        // Chrome trace_event JSON output path
   std::string metrics;      // counter-totals JSON output path
@@ -354,7 +355,13 @@ int cmd_convert(const Options& opt) {
 int cmd_generate(const Options& opt) {
   if (!opt.suite.empty()) {
     if (opt.positional.size() != 1) usage("generate --suite <name> <out>");
-    const Netlist nl = generate_suite_circuit(suite_circuit(opt.suite));
+    const auto& suite = paper_suite();
+    const auto row =
+        std::find_if(suite.begin(), suite.end(),
+                     [&](const SuiteCircuit& c) { return c.name == opt.suite; });
+    if (row == suite.end())
+      usage(("unknown suite circuit: " + opt.suite).c_str());
+    const Netlist nl = generate_suite_circuit(*row);
     write_any(opt.positional.back(), nl);
     std::printf("wrote %s (%zu gates, %zu FFs)\n",
                 opt.positional.back().c_str(), nl.gate_count(),
