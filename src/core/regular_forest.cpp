@@ -1,7 +1,4 @@
 #include "core/regular_forest.hpp"
-#ifdef SERELIN_FOREST_TRACE
-#include <cstdio>
-#endif
 
 #include <algorithm>
 
@@ -19,12 +16,14 @@ RegularForest::RegularForest(std::span<const std::int64_t> gain,
   w_.assign(n, 1);
   big_b_.assign(n, 0);
   blocked_.assign(n, 0);
+  sensitive_.assign(n, 0);
   parent_.assign(n, kNullVertex);
   children_.assign(n, {});
   u_.assign(n, false);
   for (std::size_t v = 0; v < n; ++v) {
     big_b_[v] = b_[v];  // w = 1
     blocked_[v] = movable_[v] ? 0 : 1;
+    sensitive_[v] = class_sensitive(v);
   }
 }
 
@@ -66,6 +65,7 @@ void RegularForest::set_weight(VertexId v, std::int32_t w) {
   SERELIN_ASSERT(w >= 1, "move weights are positive");
   w_[v] = w;
   big_b_[v] = b_[v] * w;
+  sensitive_[v] = class_sensitive(v);
 }
 
 void RegularForest::remove_child(VertexId parent, VertexId child) {
@@ -75,71 +75,101 @@ void RegularForest::remove_child(VertexId parent, VertexId child) {
   kids.erase(it);
 }
 
-void RegularForest::reroot(VertexId v) {
-  if (is_root(v)) return;
-  // Collect the path v = a0, a1, ..., ak = root.
-  std::vector<VertexId> path{v};
-  while (parent_[path.back()] != kNullVertex) path.push_back(parent_[path.back()]);
-  // New subtree sums along the path. After rerooting, a_i's new subtree is
-  // the whole tree minus the old subtree of a_{i-1} (its new parent side):
-  // the reversed chain hangs *below* each former ancestor.
-  std::vector<std::int64_t> new_b(path.size());
-  std::vector<std::int32_t> new_blocked(path.size());
-  new_b[0] = big_b_[path.back()];
-  new_blocked[0] = blocked_[path.back()];
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    new_b[i] = big_b_[path.back()] - big_b_[path[i - 1]];
-    new_blocked[i] = blocked_[path.back()] - blocked_[path[i - 1]];
-  }
-  // Reverse parent/child links along the path; the stored direction flag
-  // moves from the old child to the new child, inverted. Snapshot the old
-  // flags first — the loop overwrites them in path order.
-  std::vector<char> old_u(path.size());
-  for (std::size_t i = 0; i < path.size(); ++i) old_u[i] = u_[path[i]];
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const VertexId lo = path[i];
-    const VertexId hi = path[i + 1];
+void RegularForest::reroot(VertexId v, std::vector<VertexId>& path) {
+  // Appends the path v = a0, a1, ..., ak = old root; once reversed below it
+  // runs root first and holds every vertex whose B, blocked count or U
+  // changes.
+  const std::size_t base = path.size();
+  for (VertexId a = v; a != kNullVertex; a = parent_[a]) path.push_back(a);
+  const VertexId old_root = path.back();
+  const std::int64_t total_b = big_b_[old_root];
+  const std::int32_t total_blocked = blocked_[old_root];
+  const std::int32_t total_sensitive = sensitive_[old_root];
+  // After rerooting, a_i's subtree is the whole tree minus the old subtree
+  // of a_{i-1} (its new parent side). Walking from the old root down reads
+  // each a_{i-1} before it is rewritten; `flips` sums the change in the
+  // class-sensitive flags of a_i..a_k, which that difference counts stale.
+  // The stored direction flag moves from the old child to the new child,
+  // inverted.
+  std::int32_t flips = 0;
+  for (std::size_t i = path.size() - 1; i > base; --i) {
+    const VertexId hi = path[i];
+    const VertexId lo = path[i - 1];
+    flips -= class_sensitive(hi);
+    big_b_[hi] = total_b - big_b_[lo];
+    blocked_[hi] = total_blocked - blocked_[lo];
+    flips += class_sensitive(hi);
+    sensitive_[hi] = total_sensitive - sensitive_[lo] + flips;
     remove_child(hi, lo);
     children_[lo].push_back(hi);
     parent_[hi] = lo;
-    u_[hi] = !old_u[i];
+    u_[hi] = !u_[lo];
   }
+  flips -= class_sensitive(v);
+  big_b_[v] = total_b;
+  blocked_[v] = total_blocked;
+  flips += class_sensitive(v);
+  sensitive_[v] = total_sensitive + flips;
   parent_[v] = kNullVertex;
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    big_b_[path[i]] = new_b[i];
-    blocked_[path[i]] = new_blocked[i];
+}
+
+void RegularForest::add_to_ancestors(VertexId a, std::int64_t db,
+                                     std::int32_t dblocked,
+                                     std::int32_t dsensitive) {
+  // `dsensitive` grows by every ancestor whose own flag flips on the way.
+  for (; a != kNullVertex; a = parent_[a]) {
+    dsensitive -= class_sensitive(a);
+    big_b_[a] += db;
+    blocked_[a] += dblocked;
+    dsensitive += class_sensitive(a);
+    sensitive_[a] += dsensitive;
   }
 }
 
 void RegularForest::cut(VertexId v) {
   SERELIN_ASSERT(!is_root(v), "cannot cut a root");
   SERELIN_COUNT(kForestCuts, 1);
-  const std::int64_t db = big_b_[v];
-  const std::int32_t dbl = blocked_[v];
-  VertexId a = parent_[v];
+  const VertexId a = parent_[v];
   remove_child(a, v);
   parent_[v] = kNullVertex;
-  for (; a != kNullVertex; a = parent_[a]) {
-    big_b_[a] -= db;
-    blocked_[a] -= dbl;
-  }
+  add_to_ancestors(a, -big_b_[v], -blocked_[v], -sensitive_[v]);
 }
 
 void RegularForest::link(VertexId p, VertexId q) {
   SERELIN_ASSERT(is_root(q), "link target q must be a root");
-  SERELIN_ASSERT(root_of(p) != q, "linking would create a cycle");
   parent_[q] = p;
   children_[p].push_back(q);
   u_[q] = false;  // constraint (p, q): parent forces child
-  for (VertexId a = p; a != kNullVertex; a = parent_[a]) {
-    big_b_[a] += big_b_[q];
-    blocked_[a] += blocked_[q];
-  }
+  add_to_ancestors(p, big_b_[q], blocked_[q], sensitive_[q]);
+}
+
+void RegularForest::merge(VertexId p, VertexId q) {
+  // The one root path the fold changes: root(p) ... p, then q ... q's old
+  // root once reroot(q) has reversed it.
+  path_.clear();
+  for (VertexId a = p; a != kNullVertex; a = parent_[a]) path_.push_back(a);
+  std::reverse(path_.begin(), path_.end());
+  const VertexId root = path_.front();
+  SERELIN_ASSERT(root != root_of(q), "linking would create a cycle");
+  const std::size_t mid = path_.size();
+  const TreeClass p_class = tree_class(root);
+  const std::int32_t p_off = off_path_sensitive(0, mid);
+  reroot(q, path_);
+  const TreeClass q_class = tree_class(q);
+  const std::int32_t q_off = off_path_sensitive(mid, path_.size());
+  link(p, q);
+  // Off the path, p's edges were regular under p_class and q's under
+  // q_class; a class change matters only to a class-sensitive edge.
+  const TreeClass cls = tree_class(root);
+  const bool whole =
+      (cls != p_class && p_off > 0) || (cls != q_class && q_off > 0);
+  restore_regularity({root, 0, path_.size(), cls, whole});
 }
 
 void RegularForest::break_tree(VertexId v) {
   SERELIN_COUNT(kForestBreaks, 1);
-  reroot(v);
+  path_.clear();
+  reroot(v, path_);
   // Detach every child of v; each becomes its own tree with its subtree
   // sums already correct. Their tree class changed, so each released
   // fragment must be re-regularized.
@@ -152,9 +182,18 @@ void RegularForest::break_tree(VertexId v) {
     blocked_[v] -= blocked_[c];
     released.push_back(c);
   }
+  sensitive_[v] = class_sensitive(v);
   SERELIN_ASSERT(big_b_[v] == b_[v] * w_[v] && blocked_[v] == (movable_[v] ? 0 : 1),
                  "BreakTree left inconsistent sums");
-  for (VertexId c : released) restore_regularity(c);
+  for (VertexId c : released) restore_regularity({c});  // whole-tree scans
+}
+
+std::int32_t RegularForest::off_path_sensitive(std::size_t lo,
+                                               std::size_t hi) const {
+  // path_[lo] is the root; it is counted in its subtree and on the path.
+  std::int32_t n = sensitive_[path_[lo]];
+  for (std::size_t j = lo; j < hi; ++j) n -= class_sensitive(path_[j]);
+  return n;
 }
 
 bool RegularForest::edge_regular(VertexId child, TreeClass cls) const {
@@ -172,39 +211,58 @@ bool RegularForest::edge_regular(VertexId child, TreeClass cls) const {
   SERELIN_ASSERT(false, "unreachable tree class");
 }
 
-void RegularForest::restore_regularity(VertexId any_vertex) {
-  // Re-establish regularity on the tree containing `any_vertex`; cuts can
-  // release subtrees whose own regularity must then be checked too.
-  std::vector<VertexId> worklist{root_of(any_vertex)};
-  while (!worklist.empty()) {
-    const VertexId root = worklist.back();
-    worklist.pop_back();
-    if (!is_root(root)) continue;  // merged away meanwhile (defensive)
+void RegularForest::restore_regularity(const Pending& first) {
+  // Cut the first irregular edge in the whole-tree scan's order and
+  // re-regularize both halves; cuts can release subtrees whose own
+  // regularity must then be checked too. Edge count strictly decreases, so
+  // this terminates.
+  std::int64_t checks = 0;
+  work_.assign(1, first);
+  while (!work_.empty()) {
+    Pending item = work_.back();
+    work_.pop_back();
+    const VertexId root = item.root;
     const TreeClass cls = tree_class(root);
-    // Scan the tree; cut the first irregular edge and restart on both
-    // halves. Edge count strictly decreases, so this terminates.
-    bool cut_something = false;
-    std::vector<VertexId> stack{root};
-    while (!stack.empty()) {
-      const VertexId x = stack.back();
-      stack.pop_back();
-      for (VertexId c : children_[x]) {
+    if (!item.whole && cls != item.checked &&
+        off_path_sensitive(item.lo, item.hi) > 0)
+      item.whole = true;
+    if (!item.whole) {
+      // Only the path can be irregular; the scan meets it shallowest first.
+      for (std::size_t j = item.lo + 1; j < item.hi; ++j) {
+        ++checks;
+        const VertexId c = path_[j];
         if (!edge_regular(c, cls)) {
-#ifdef SERELIN_FOREST_TRACE
-          std::fprintf(stderr, "CUT child=%u parent=%u U=%d B=%lld blk=%d cls=%d\n",
-                       c, x, (int)u_[c], (long long)big_b_[c], blocked_[c], (int)cls);
-#endif
           cut(c);
-          worklist.push_back(c);
-          worklist.push_back(root);
+          work_.push_back({c, j, item.hi, cls, false});
+          work_.push_back({root, item.lo, j, cls, false});
+          break;
+        }
+      }
+      continue;
+    }
+    // Scan the tree in preorder, testing each vertex's children in order.
+    // Both halves of a cut are rescanned whole: the edges the scan had not
+    // reached yet were never tested under `cls`.
+    stack_.assign(1, root);
+    while (!stack_.empty()) {
+      const VertexId x = stack_.back();
+      stack_.pop_back();
+      bool cut_something = false;
+      for (VertexId c : children_[x]) {
+        ++checks;
+        if (!edge_regular(c, cls)) {
+          cut(c);
+          work_.push_back({c});
+          work_.push_back({root});
           cut_something = true;
           break;
         }
-        stack.push_back(c);
+        stack_.push_back(c);
       }
       if (cut_something) break;
     }
   }
+  SERELIN_COUNT(kForestEdgeChecks, checks);
 }
 
 void RegularForest::add_constraint(VertexId p, VertexId q,
@@ -219,17 +277,15 @@ void RegularForest::add_constraint(VertexId p, VertexId q,
     // Blocking constraint: q can never move; fold q into p's tree so the
     // whole tree drops out of V_P (the paper's host-edge early exit).
     if (same_tree(p, q)) return;  // already blocked by q
-    reroot(q);
-    link(p, q);
-    restore_regularity(p);
+    merge(p, q);
     return;
   }
 
   if (p == q) {
-    // Pure weight update (e.g. a P2' fix that cycles back to its cause).
+    // Pure weight update (e.g. a P2' fix that cycles back to its cause);
+    // the singleton left behind is regular.
     if (!is_singleton(q)) break_tree(q);
     set_weight(q, needed);
-    restore_regularity(q);
     return;
   }
 
@@ -245,12 +301,8 @@ void RegularForest::add_constraint(VertexId p, VertexId q,
   } else if (same_tree(p, q)) {
     // Constraint already implied by the current grouping.
     return;
-  } else {
-    reroot(q);
   }
-  if (same_tree(p, q)) return;  // defensive: q's break left p alone with it
-  link(p, q);
-  restore_regularity(p);
+  merge(p, q);
 }
 
 void RegularForest::check_invariants() const {
@@ -265,6 +317,7 @@ void RegularForest::check_invariants() const {
   }
   std::vector<std::int64_t> sum_b(n);
   std::vector<std::int32_t> sum_blocked(n);
+  std::vector<std::int32_t> sum_sensitive(n);
   // Iterative post-order accumulation.
   for (VertexId root = 0; root < n; ++root) {
     if (!is_root(root)) continue;
@@ -274,6 +327,7 @@ void RegularForest::check_invariants() const {
       if (idx == 0) {
         sum_b[x] = b_[x] * w_[x];
         sum_blocked[x] = movable_[x] ? 0 : 1;
+        sum_sensitive[x] = 0;
       }
       if (idx < children_[x].size()) {
         const VertexId c = children_[x][idx++];
@@ -281,9 +335,11 @@ void RegularForest::check_invariants() const {
       } else {
         const VertexId done = x;
         stack.pop_back();
+        sum_sensitive[done] += sum_blocked[done] == 0 && sum_b[done] == 0;
         if (!stack.empty()) {
           sum_b[stack.back().first] += sum_b[done];
           sum_blocked[stack.back().first] += sum_blocked[done];
+          sum_sensitive[stack.back().first] += sum_sensitive[done];
         }
       }
     }
@@ -295,6 +351,8 @@ void RegularForest::check_invariants() const {
       SERELIN_ASSERT(sum_b[x] == big_b_[x], "subtree gain sum out of date");
       SERELIN_ASSERT(sum_blocked[x] == blocked_[x],
                      "subtree blocked count out of date");
+      SERELIN_ASSERT(sum_sensitive[x] == sensitive_[x],
+                     "subtree class-sensitive count out of date");
       if (x != root)
         SERELIN_ASSERT(edge_regular(x, cls), "tree is not regular");
       for (VertexId c : children_[x]) scan.push_back(c);

@@ -29,6 +29,27 @@
 //
 // The solver's candidate set is V_P(F): the vertices of positive trees; the
 // paper shows (after [20]) that it is the closed set of maximum gain.
+//
+// Re-regularization costs what a fold changed, not the size of the tree.
+// Three facts let it test one root path and still cut exactly the edges a
+// whole-tree scan would, in the same order:
+//  * The three rules disagree only on a *class-sensitive* edge, one whose
+//    child subtree is unblocked with B = 0; every other edge is regular
+//    under all classes or none.
+//  * reroot(q) then link(p, q) changes B, blocked or U only on the one root
+//    path root(p) … p → q … q's old root; cut(c) changes them only on c's
+//    ancestors.
+//  * The whole-tree scan (preorder, children popped last-first) tests the
+//    edges of one root path shallowest first.
+// So after a link the forest tests that path shallow to deep and cuts the
+// first irregular edge; the halves go back on the worklist as (c, the path
+// below c) and then (root, the path above c), in the scan's LIFO order.
+// A per-subtree count of class-sensitive vertices, kept beside the blocked
+// count, tells in O(path) whether a tree off its path holds one. The
+// whole-tree scan runs only for a tree whose class differs from the class
+// its off-path edges were last checked under while it holds a
+// class-sensitive off-path edge, and for BreakTree's released fragments;
+// the halves of a cut it makes are rescanned whole.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +84,10 @@ class RegularForest {
   std::int64_t subtree_gain(VertexId v) const { return big_b_[v]; }
   /// Number of immovable vertices in v's subtree.
   std::int32_t subtree_blocked(VertexId v) const { return blocked_[v]; }
+  /// U(v) for non-root v: true iff the constraint is (v, parent(v)).
+  bool up(VertexId v) const { return u_[v]; }
+  /// v's children, in the order the regularity scan tests them.
+  std::span<const VertexId> children(VertexId v) const { return children_[v]; }
 
   /// True iff v's tree is positive (B(root) > 0 and unblocked).
   bool in_positive_tree(VertexId v) const;
@@ -91,23 +116,48 @@ class RegularForest {
  private:
   enum class TreeClass : std::uint8_t { kPositive, kZero, kNegative };
 
+  /// A tree awaiting re-regularization. A path item lists the edges that
+  /// changed: path_[lo] is the root and path_[lo+1, hi) the changed root
+  /// path, shallowest first; every other edge is regular under `checked`.
+  /// A whole item rescans every edge of the tree.
+  struct Pending {
+    VertexId root;
+    std::size_t lo = 0, hi = 0;
+    TreeClass checked = TreeClass::kZero;
+    bool whole = true;
+  };
+
   void set_weight(VertexId v, std::int32_t w);
-  void reroot(VertexId v);
+  void reroot(VertexId v, std::vector<VertexId>& path);
   void link(VertexId p, VertexId q);
+  void merge(VertexId p, VertexId q);
   void cut(VertexId v);
+  void add_to_ancestors(VertexId a, std::int64_t db, std::int32_t dblocked,
+                        std::int32_t dsensitive);
   void remove_child(VertexId parent, VertexId child);
-  void restore_regularity(VertexId any_vertex);
+  void restore_regularity(const Pending& first);
   TreeClass tree_class(VertexId root) const;
+  bool class_sensitive(VertexId v) const {
+    return blocked_[v] == 0 && big_b_[v] == 0;
+  }
+  std::int32_t off_path_sensitive(std::size_t lo, std::size_t hi) const;
   bool edge_regular(VertexId child, TreeClass cls) const;
 
   std::vector<std::int64_t> b_;
   std::vector<std::int32_t> w_;
   std::vector<std::int64_t> big_b_;
   std::vector<std::int32_t> blocked_;
+  /// Class-sensitive vertices (unblocked, B = 0) in v's subtree.
+  std::vector<std::int32_t> sensitive_;
   std::vector<VertexId> parent_;
   std::vector<std::vector<VertexId>> children_;
   std::vector<bool> u_;
   std::vector<char> movable_;
+  // Scratch reused across folds: the changed root path, the worklist of
+  // restore_regularity and the stack of its whole-tree scan.
+  std::vector<VertexId> path_;
+  std::vector<Pending> work_;
+  std::vector<VertexId> stack_;
 };
 
 }  // namespace serelin

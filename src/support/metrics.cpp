@@ -21,6 +21,7 @@ const char* counter_name(Counter c) {
     case Counter::kForestConstraints: return "forest-constraints";
     case Counter::kForestBreaks: return "forest-breaks";
     case Counter::kForestCuts: return "forest-cuts";
+    case Counter::kForestEdgeChecks: return "forest-edge-checks";
     case Counter::kBundleGrowSteps: return "bundle-grow-steps";
     case Counter::kWdSources: return "wd-sources";
     case Counter::kWdHeapPops: return "wd-heap-pops";

@@ -48,6 +48,7 @@ enum class Counter : std::uint16_t {
   kForestConstraints,///< active constraints folded into the regular forest
   kForestBreaks,     ///< BreakTree rebuilds
   kForestCuts,       ///< irregular-edge cuts during re-regularization
+  kForestEdgeChecks, ///< forest edges tested for regularity while restoring it
   kBundleGrowSteps,  ///< closure-solver bundle growth steps
   kWdSources,        ///< single-source W/D computations
   kWdHeapPops,       ///< Dijkstra heap pops during W/D construction

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "core/regular_forest.hpp"
 #include "support/check.hpp"
@@ -127,12 +129,32 @@ TEST(RegularForest, PositivePositiveLink) {
   f.check_invariants();
 }
 
-// Property: arbitrary constraint streams keep the forest structurally
-// sound (sums consistent, trees regular, positive set = positive trees).
-class ForestProperty : public ::testing::TestWithParam<int> {};
+TEST(RegularForest, ClassChangeCutsOffPathZeroGainLeaf) {
+  // Leaf 1 hangs below root 0 with U = false and B = 0: regular while the
+  // tree is positive (B <= 0 suffices), irregular once it turns negative
+  // (B < 0 is needed).
+  auto f = make({5, 0, -10});
+  f.add_constraint(0, 1, 1);
+  ASSERT_EQ(f.parent(1), 0u);
+  ASSERT_FALSE(f.up(1));
+  ASSERT_EQ(f.subtree_gain(1), 0);
+  f.check_invariants();
+  // Linking 2 turns the tree negative. The fold changes only the edge
+  // 0 -> 2, yet the leaf's edge is the one the whole-tree scan meets first
+  // and cuts.
+  f.add_constraint(0, 2, 1);
+  EXPECT_TRUE(f.is_singleton(1));
+  EXPECT_EQ(f.parent(2), 0u);
+  EXPECT_EQ(f.subtree_gain(0), -5);
+  f.check_invariants();
+}
 
-TEST_P(ForestProperty, InvariantsUnderRandomOps) {
-  Rng rng(GetParam() * 31337u);
+// The random constraint stream of one seed: 24 vertices, some immovable,
+// 120 draws of (p, q, weight). `after(f, movable, op)` runs after every
+// folded constraint.
+template <class After>
+void run_random_stream(int seed, After after) {
+  Rng rng(seed * 31337u);
   const int n = 24;
   std::vector<std::int64_t> gains(n);
   std::vector<char> movable(n, 1);
@@ -147,6 +169,18 @@ TEST_P(ForestProperty, InvariantsUnderRandomOps) {
     const VertexId q = static_cast<VertexId>(rng.below(n));
     const auto w = static_cast<std::int32_t>(rng.range(1, 3));
     f.add_constraint(p, q, w);
+    after(f, movable, op);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// Property: arbitrary constraint streams keep the forest structurally
+// sound (sums consistent, trees regular, positive set = positive trees).
+class ForestProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(ForestProperty, InvariantsUnderRandomOps) {
+  run_random_stream(GetParam(), [](const RegularForest& f,
+                                   const std::vector<char>& movable, int op) {
     ASSERT_NO_THROW(f.check_invariants()) << "op " << op;
     // Every member of the positive set is in a positive, unblocked tree.
     for (VertexId v : f.positive_set()) {
@@ -155,7 +189,30 @@ TEST_P(ForestProperty, InvariantsUnderRandomOps) {
       EXPECT_EQ(f.subtree_blocked(root), 0);
       EXPECT_TRUE(movable[v]);
     }
+  });
+}
+
+// Regularity alone does not fix which irregular edge goes first, and the
+// cut order decides the forest the solver sees. The forest's whole shape
+// (parent, U of non-roots, weight and child order of every vertex), hashed
+// after every op of seeds 1-15, is pinned to the value that rescanning the
+// whole tree after every fold and cut gives.
+TEST(RegularForest, CutSequenceIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 0x100000001b3ull; };
+  for (int seed = 1; seed <= 15; ++seed) {
+    run_random_stream(seed, [&mix](const RegularForest& f,
+                                   const std::vector<char>&, int) {
+      for (VertexId v = 0; v < f.size(); ++v) {
+        mix(f.parent(v));
+        mix(f.is_root(v) ? 2 : f.up(v));  // a root's U is meaningless
+        mix(static_cast<std::uint64_t>(f.weight(v)));
+        mix(f.children(v).size());
+        for (VertexId c : f.children(v)) mix(c);
+      }
+    });
   }
+  EXPECT_EQ(h, 0xd57fa3c756139db0ull);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ForestProperty, ::testing::Range(1, 16));
