@@ -44,9 +44,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "exit codes used by tools/serelin_cli.cpp and the registry table in "
        "docs/ROBUSTNESS.md must match exactly"},
       {"trace-macro-pure",
-       "SERELIN_SPAN/SERELIN_COUNT arguments must be side-effect free: the "
-       "macros compile out under SERELIN_TRACE=OFF, so ++/--/assignments "
-       "in arguments would change behavior between builds"},
+       "SERELIN_SPAN/SERELIN_COUNT arguments must be side-effect free: a "
+       "span or counter only observes a run, so deleting one must not "
+       "change what the run computes"},
       {"lock-order-cycle",
        "the static mutex-acquisition graph (MutexLock nesting, "
        "SERELIN_REQUIRES preconditions, and calls made while holding a "
@@ -401,8 +401,8 @@ void rule_trace_macro_pure(const SourceFile& f, Reporter& rep) {
       if (impure)
         rep.report(f.rel, static_cast<int>(li + 1), "trace-macro-pure",
                    std::string(macro) + " argument contains " + why +
-                       "; instrumentation compiles out under "
-                       "SERELIN_TRACE=OFF, so arguments must be pure");
+                       "; a span or counter only observes the run, so "
+                       "deleting it must not change what the run computes");
     }
   }
 }

@@ -19,10 +19,6 @@ namespace {
 // tolerate associativity noise without passing real violations.
 constexpr double kEps = 1e-6;
 
-// Relative tolerance of the SER cross-check (analysis is deterministic, so
-// only summation-order noise needs absorbing).
-constexpr double kSerRelTol = 1e-9;
-
 // Forward STA over the one-cycle combinational network: arrival time at
 // every node's *output*, with sources (PIs, register Qs, constants)
 // launching at 0. Independent of GraphTiming on purpose.
@@ -310,39 +306,6 @@ Verdict RetimingOracle::verify(const SolverResult& result,
   Verdict v = verify(result.r);
   v.invariants.back() = check_objective(result, initial, gains, v);
   return v;
-}
-
-void RetimingOracle::verify_ser(const Retiming& r, double reported,
-                                const SerOptions& options, Verdict& v) const {
-  SERELIN_SPAN("oracle/verify-ser");
-  SERELIN_COUNT(kOracleChecks, 1);
-  InvariantResult* obj = nullptr;
-  for (InvariantResult& res : v.invariants)
-    if (res.invariant == Invariant::kObjective) obj = &res;
-  SERELIN_REQUIRE(obj != nullptr, "verify_ser: verdict has no objective row");
-  if (v.result(Invariant::kLegality).status != CheckStatus::kPass) return;
-  const Netlist retimed =
-      apply_retiming(*g_, r, g_->netlist().name() + "_oracle");
-  const SerReport report = analyze_ser(retimed, g_->library(), options);
-  const double scale =
-      std::max({std::fabs(reported), std::fabs(report.total), 1e-12});
-  if (obj->status == CheckStatus::kSkipped) obj->detail.clear();
-  if (std::fabs(report.total - reported) <= kSerRelTol * scale) {
-    if (obj->status != CheckStatus::kFail) {
-      obj->status = CheckStatus::kPass;
-      if (!obj->detail.empty()) obj->detail += "; ";
-      obj->detail += "SER " + fmt(reported) + " matches Eq. (4) re-analysis";
-    }
-    return;
-  }
-  v.diagnostics.report(
-      {Severity::kError, DiagCode::kOracleObjective, {}, 0, 0,
-       "reported SER " + fmt(reported) + " but Eq. (4) re-analysis gives " +
-           fmt(report.total)});
-  obj->status = CheckStatus::kFail;
-  if (!obj->detail.empty()) obj->detail += "; ";
-  obj->detail += "SER mismatch: reported " + fmt(reported) +
-                 " != recomputed " + fmt(report.total);
 }
 
 }  // namespace serelin

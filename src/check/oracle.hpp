@@ -23,8 +23,7 @@
 //      Φ + Th − min_after).
 //   4. OBJECTIVE — the reported K-scaled objective gain is re-derived by
 //      two direct Eq. (5) evaluations (plus the §VII area term when
-//      enabled); optionally a full Eq. (4) SER re-analysis cross-checks a
-//      reported SER total.
+//      enabled).
 //
 // Failures come back as a structured Verdict: one InvariantResult per
 // invariant plus oracle-* diagnostics in a DiagnosticSink, so tools can
@@ -43,7 +42,6 @@
 #include "netlist/cell_library.hpp"
 #include "netlist/netlist.hpp"
 #include "rgraph/retiming_graph.hpp"
-#include "ser/ser_analyzer.hpp"
 #include "support/diag.hpp"
 #include "timing/params.hpp"
 
@@ -54,7 +52,7 @@ enum class Invariant : std::uint8_t {
   kLegality,   ///< w_r(e) ≥ 0 on every edge, boundary labels pinned (Eq. 1)
   kPeriod,     ///< every combinational path fits in Φ − Ts
   kElw,        ///< every register ELW obeys the R_min short-path bound
-  kObjective,  ///< reported objective/SER matches recomputation
+  kObjective,  ///< reported objective matches recomputation
 };
 
 /// "legality" / "period" / "elw" / "objective" (stable, used in journals).
@@ -118,12 +116,6 @@ class RetimingOracle {
   /// between `initial` and `result.r` using `gains` observabilities.
   Verdict verify(const SolverResult& result, const Retiming& initial,
                  const ObsGains& gains) const;
-
-  /// Appends the Eq. (4) SER cross-check to `v` (folded into the
-  /// objective invariant's diagnostics): re-analyzes the materialized
-  /// retimed netlist and compares with the reported total.
-  void verify_ser(const Retiming& r, double reported,
-                  const SerOptions& options, Verdict& v) const;
 
   const OracleOptions& options() const { return opt_; }
 

@@ -49,7 +49,7 @@ constexpr double kRetryFactor = 2.0;
 
 /// Stage span labels must be literals with static storage (the tracer
 /// keeps the pointer), hence this sibling of pipeline_stage_name.
-[[maybe_unused]] const char* stage_span_name(PipelineStage s) {
+const char* stage_span_name(PipelineStage s) {
   switch (s) {
     case PipelineStage::kMinObsWin:
       return "pipeline/minobswin";
@@ -94,7 +94,7 @@ void journal_attempt(RunJournal& journal, const StageAttempt& a,
       o.set(invariant_name(r.invariant), check_status_name(r.status));
   }
   o.set("accepted", a.accepted);
-  if (metrics_compiled_in()) o.set_json("metrics", metrics_json(metrics));
+  o.set_json("metrics", metrics_json(metrics));
   journal.write(o);
 }
 
@@ -286,6 +286,8 @@ PipelineResult run_pipeline(const Netlist& nl, const CellLibrary& lib,
         chain.begin());
     SERELIN_REQUIRE(resume_pos < chain.size(),
                     "resume checkpoint names an impossible stage");
+    SERELIN_REQUIRE(resume_attempt == 0 || resume_attempt == 1,
+                    "resume checkpoint names an impossible attempt");
     resuming = true;
   }
 

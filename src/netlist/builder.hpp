@@ -50,8 +50,8 @@ class NetlistBuilder {
   /// Every repair is an ERROR-severity diagnostic (the input was wrong);
   /// the returned netlist is always finalized and structurally legal.
   /// Callers wanting strict semantics use sink.throw_if_errors() after.
-  /// Optionally records each decl's source line for diagnostics via
-  /// set_source_line().
+  /// Diagnostics name each decl's source line when it was tagged with
+  /// at_line().
   Netlist build(DiagnosticSink& sink);
 
   /// Tags the most recently added declaration with its source line, so

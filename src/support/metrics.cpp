@@ -62,8 +62,6 @@ void write_metrics_json(const MetricsSnapshot& snapshot,
   atomic_write_file(path, metrics_json(snapshot) + '\n');
 }
 
-#if SERELIN_TRACE_ENABLED
-
 namespace {
 
 /// One per-thread counter block. Blocks outlive their threads: the
@@ -114,7 +112,5 @@ MetricsSnapshot metrics_snapshot() {
       out.values[i] += block->values[i];
   return out;
 }
-
-#endif  // SERELIN_TRACE_ENABLED
 
 }  // namespace serelin

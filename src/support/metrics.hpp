@@ -14,8 +14,6 @@
 //    constraint), never to a lane or a scheduling decision, and integer
 //    addition commutes exactly. metrics_snapshot() sums the thread blocks
 //    in registration order.
-//  * `cmake -DSERELIN_TRACE=OFF` compiles every SERELIN_COUNT site to
-//    nothing, so the perf path can shed even the thread-local accesses.
 //
 // Snapshots subtract, so callers bracket a region of interest:
 //
@@ -99,8 +97,6 @@ std::string metrics_json(const MetricsSnapshot& snapshot);
 void write_metrics_json(const MetricsSnapshot& snapshot,
                         const std::string& path);
 
-#if SERELIN_TRACE_ENABLED
-
 namespace detail {
 
 /// The calling thread's counter block (registered on first use).
@@ -118,26 +114,13 @@ inline void metric_add(Counter c, std::int64_t n) {
 /// parallel regions (see the header comment).
 MetricsSnapshot metrics_snapshot();
 
-#else  // !SERELIN_TRACE_ENABLED — compiled-out stubs, zero overhead
-
-inline void metric_add(Counter, std::int64_t) {}
-inline MetricsSnapshot metrics_snapshot() { return {}; }
-
-#endif
-
-/// True when the library was built with SERELIN_TRACE=ON.
-constexpr bool metrics_compiled_in() { return SERELIN_TRACE_ENABLED != 0; }
+/// Always true: counters are always compiled in. Kept only for
+/// perfbench/perfbench.cpp, which checks it before it runs.
+constexpr bool metrics_compiled_in() { return true; }
 
 }  // namespace serelin
 
-/// Instrumentation macro: compiles to nothing under SERELIN_TRACE=OFF.
-/// `counter` is the bare enumerator name, e.g. SERELIN_COUNT(kWdHeapPops, 1).
-#if SERELIN_TRACE_ENABLED
+/// Instrumentation macro. `counter` is the bare enumerator name, e.g.
+/// SERELIN_COUNT(kWdHeapPops, 1).
 #define SERELIN_COUNT(counter, n) \
   ::serelin::metric_add(::serelin::Counter::counter, (n))
-#else
-// sizeof keeps `n` (and any locals it reads) formally used without
-// evaluating it, so OFF builds stay warning-clean under -Werror.
-#define SERELIN_COUNT(counter, n) \
-  ((void)sizeof(::serelin::Counter::counter), (void)sizeof(n))
-#endif

@@ -1,15 +1,12 @@
 #include "support/trace.hpp"
 
-#include "support/atomic_io.hpp"
-#include "support/check.hpp"
-
-#if SERELIN_TRACE_ENABLED
-
 #include <atomic>
 #include <chrono>
 #include <vector>
 
 #include "support/annotations.hpp"
+#include "support/atomic_io.hpp"
+#include "support/check.hpp"
 #include "support/sync.hpp"
 
 namespace serelin {
@@ -162,26 +159,6 @@ std::string Tracer::chrome_json() {
   out += "\n], \"displayTimeUnit\": \"ms\"}\n";
   return out;
 }
-
-}  // namespace serelin
-
-#else  // !SERELIN_TRACE_ENABLED — inert shell, still valid output
-
-namespace serelin {
-
-bool Tracer::active() { return false; }
-void Tracer::start() {}
-void Tracer::stop() {}
-std::size_t Tracer::event_count() { return 0; }
-std::string Tracer::chrome_json() {
-  return "{\"traceEvents\": [], \"displayTimeUnit\": \"ms\"}\n";
-}
-
-}  // namespace serelin
-
-#endif  // SERELIN_TRACE_ENABLED
-
-namespace serelin {
 
 void Tracer::write_chrome_json(const std::string& path) {
   // Atomic replace: a crash mid-write never leaves a truncated trace that

@@ -11,9 +11,6 @@
 // Cost model:
 //  * Tracing is OFF at runtime until Tracer::start(); a dormant span is
 //    one relaxed atomic load.
-//  * `cmake -DSERELIN_TRACE=OFF` compiles SERELIN_SPAN sites to nothing
-//    and turns Tracer into an inert shell (chrome_json() stays valid but
-//    empty), so the perf path carries zero instrumentation.
 //  * Span names must be string literals (the tracer stores the pointer).
 //
 // Aggregation is per-thread buffers — lane 0 is the calling thread,
@@ -52,8 +49,6 @@ class Tracer {
   static void write_chrome_json(const std::string& path);
 };
 
-#if SERELIN_TRACE_ENABLED
-
 /// RAII span: records one complete trace event from construction to
 /// destruction on the current thread. `name` must be a string literal.
 class TraceSpan {
@@ -70,31 +65,12 @@ class TraceSpan {
   std::int32_t depth_ = 0;
 };
 
-#else
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif
-
-/// True when the library was built with SERELIN_TRACE=ON.
-constexpr bool trace_compiled_in() { return SERELIN_TRACE_ENABLED != 0; }
-
 }  // namespace serelin
 
 #define SERELIN_TRACE_CAT2(a, b) a##b
 #define SERELIN_TRACE_CAT(a, b) SERELIN_TRACE_CAT2(a, b)
 
-/// Scoped span macro: compiles to nothing under SERELIN_TRACE=OFF.
-#if SERELIN_TRACE_ENABLED
+/// Scoped span macro: a TraceSpan that lasts to the end of the enclosing
+/// scope.
 #define SERELIN_SPAN(name) \
   ::serelin::TraceSpan SERELIN_TRACE_CAT(serelin_span_, __LINE__)(name)
-#else
-// sizeof keeps `name` formally used without evaluating it (warning-clean
-// under -Werror when the name comes from a helper function).
-#define SERELIN_SPAN(name) ((void)sizeof(name))
-#endif

@@ -1,5 +1,5 @@
-// Fixture: a side-effecting argument vanishes under SERELIN_TRACE=OFF,
-// silently changing program behavior between build configurations.
+// Fixture: a side-effecting argument makes the counter part of the
+// computation, so deleting the counter would change what the code returns.
 #define SERELIN_COUNT(counter, n) ((void)(n))
 
 int count_and_bump(int work) {

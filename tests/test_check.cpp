@@ -16,8 +16,6 @@
 #include "helpers.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/blif_io.hpp"
-#include "rgraph/apply.hpp"
-#include "ser/ser_analyzer.hpp"
 #include "support/check.hpp"
 #include "support/parallel.hpp"
 
@@ -234,35 +232,6 @@ TEST(Oracle, RejectsForgedObjectiveGain) {
   EXPECT_EQ(v.result(Invariant::kObjective).status, CheckStatus::kFail);
   EXPECT_TRUE(v.diagnostics.has(DiagCode::kOracleObjective))
       << v.diagnostics.summary();
-}
-
-TEST(Oracle, SerCrossCheckMatchesReanalysis) {
-  const Netlist nl = test::tiny_reconvergent();
-  CellLibrary lib;
-  RetimingGraph g(nl, lib);
-  const InitResult init = initialize_retiming(g, {});
-
-  SerOptions ser;
-  ser.timing = init.timing;
-  ser.sim = fast_sim();
-  const Netlist retimed = apply_retiming(g, init.r, nl.name() + "_rt");
-  const double truth = analyze_ser(retimed, lib, ser).total;
-
-  OracleOptions oo;
-  oo.timing = init.timing;
-  const RetimingOracle oracle(g, oo);
-
-  Verdict good = oracle.verify(init.r);
-  oracle.verify_ser(init.r, truth, ser, good);
-  EXPECT_EQ(good.result(Invariant::kObjective).status, CheckStatus::kPass)
-      << good.summary();
-  EXPECT_TRUE(good.ok());
-
-  Verdict forged = oracle.verify(init.r);
-  oracle.verify_ser(init.r, truth * 1.5 + 1.0, ser, forged);
-  EXPECT_EQ(forged.result(Invariant::kObjective).status, CheckStatus::kFail);
-  EXPECT_TRUE(forged.diagnostics.has(DiagCode::kOracleObjective));
-  EXPECT_FALSE(forged.ok());
 }
 
 TEST(Oracle, CriticalPathMatchesHandComputation) {

@@ -3,7 +3,8 @@
 // encode/decode bit-exactness and loud rejection of damage, the
 // pipeline's one checkpoint section and its writer that never fails a
 // run, resume-equals-fresh through run_pipeline (also from a checkpoint
-// carrying a section it ignores), and the pipeline fingerprint's
+// carrying a section it ignores), the refusal of a checkpoint that names
+// an impossible stage or attempt, and the pipeline fingerprint's
 // sensitivity boundary.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "flow/pipeline.hpp"
@@ -61,7 +63,7 @@ std::string slurp(const std::string& path) {
 }
 
 // The medium random instance the resume tests run: big enough for several
-// MinObsWin commits, small enough for the fast label.
+// MinObsWin commits, small enough to keep the suite quick.
 Netlist resume_circuit(std::uint64_t seed) {
   RandomCircuitSpec spec;
   spec.gates = 120;
@@ -421,6 +423,31 @@ TEST(CrashSafePipeline, ResumeIgnoresAnEngineSection) {
   const PipelineResult resumed = run_pipeline(nl, lib, rp);
   std::string detail;
   EXPECT_TRUE(resume_matches_fresh(fresh, resumed, &detail)) << detail;
+}
+
+TEST(CrashSafePipeline, ResumeRejectsAnImpossibleStageOrAttempt) {
+  // A checkpoint whose CRC and fingerprint hold can still name a stage or
+  // attempt no run writes. Resuming from it would skip a stage or run an
+  // attempt the retry loop never makes, so it is refused up front.
+  const Netlist nl = resume_circuit(0x5eed000eULL);
+  CellLibrary lib;
+  TempDir tmp;
+  PipelineOptions po = resume_options();
+  po.resume_path = tmp.path("ck.bin");
+  const std::pair<std::uint32_t, std::uint32_t> impossible[] = {
+      {9, 0}, {0, 2}, {0, 0xFFFFFFFFu}};
+  for (const auto& [stage_id, attempt] : impossible) {
+    CheckpointImage image;
+    image.kind = "pipeline";
+    image.fingerprint = pipeline_fingerprint(nl, po);
+    BinWriter section;
+    section.u32(stage_id);
+    section.u32(attempt);
+    image.sections.emplace_back("pipeline", section.take());
+    save_checkpoint(po.resume_path, image);
+    EXPECT_THROW(run_pipeline(nl, lib, po), PreconditionError)
+        << "stage " << stage_id << ", attempt " << attempt;
+  }
 }
 
 TEST(CrashSafePipeline, UnwritableCheckpointNeverFailsTheRun) {

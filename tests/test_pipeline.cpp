@@ -45,7 +45,8 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-// Big enough for several min-area commits, small enough for the fast label.
+// Big enough for several min-area commits, small enough to keep the suite
+// quick.
 Netlist area_circuit() {
   RandomCircuitSpec spec;
   spec.gates = 120;

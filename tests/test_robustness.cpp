@@ -351,9 +351,7 @@ TEST(Deadline, ObservabilityThrowsCancelled) {
   ObservabilityAnalyzer sig(nl, cfg);
   EXPECT_THROW(sig.run(), CancelledError);
   EXPECT_THROW(exact_observability(nl, cfg), CancelledError);
-  if (metrics_compiled_in()) {
-    EXPECT_EQ((metrics_snapshot() - before)[Counter::kSimPatternWords], 0);
-  }
+  EXPECT_EQ((metrics_snapshot() - before)[Counter::kSimPatternWords], 0);
 }
 
 // ---- seeded mini-fuzz over the corruption engine ------------------------

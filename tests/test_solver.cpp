@@ -229,10 +229,8 @@ TEST_P(SolverP0Chain, OneProbePerCommitAndClosureSolverAgrees) {
   EXPECT_EQ(res.iterations, res.commits);
   EXPECT_EQ(res.commits, k <= 4 ? 1 : 0);
   EXPECT_EQ(res.objective_gain, std::max(0, 10 - 2 * k));
-  if (metrics_compiled_in()) {
-    EXPECT_EQ(work[Counter::kSolverIterations], res.iterations);
-    EXPECT_GE(work[Counter::kSolverP0Folds], 2 * k);  // one per chain edge
-  }
+  EXPECT_EQ(work[Counter::kSolverIterations], res.iterations);
+  EXPECT_GE(work[Counter::kSolverP0Folds], 2 * k);  // one per chain edge
   EXPECT_EQ(res.r, ClosureSolver(g, gains, opt).solve(r0).r);
 }
 

@@ -1,7 +1,8 @@
 // Contract tests of the shipped command-line tools, run as subprocesses
 // with the flags scripts and CI use: `serelin_cli retime` goes through the
 // solver pipeline for every --algorithm and both netlist formats and
-// writes a trace, metrics file and journal the strict parser accepts,
+// writes a trace, metrics file and journal the strict parser accepts, with
+// its pipeline span, its counters and each attempt's counters in them,
 // `serelin_cli generate` rejects malformed counts before writing anything,
 // and `serelin_campaign` runs every property campaign clean, replays the
 // committed corpora, and maps failures onto its exit codes.
@@ -73,18 +74,33 @@ TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
       EXPECT_TRUE(fs::exists(out)) << out;
       EXPECT_TRUE(fs::exists(checkpoint)) << checkpoint;
       // Every JSON artifact the run wrote is valid under the strict parser.
+      ParseOutcome counts;
       for (const std::string& artifact : {trace, metrics}) {
         std::string text = slurp(artifact);
         ASSERT_TRUE(text.ends_with('\n')) << artifact;
         text.pop_back();
         const ParseOutcome parsed = parse_object(text);
         EXPECT_TRUE(parsed.ok) << artifact << ": " << parsed.error;
+        if (artifact == metrics) counts = parsed;
       }
+      // And each holds what the run measured: the pipeline's span, and the
+      // timing passes its solves counted.
+      EXPECT_NE(slurp(trace).find("\"name\": \"pipeline/run\""),
+                std::string::npos)
+          << trace;
+      EXPECT_GT(counts.request.get_int("timing-passes").value_or(0), 0)
+          << metrics;
       const JournalRecovery rec = read_journal(journal);
       ASSERT_FALSE(rec.records.empty()) << journal;
       for (const std::string& record : rec.records) {
         const ParseOutcome parsed = parse_object(record);
         EXPECT_TRUE(parsed.ok) << record << ": " << parsed.error;
+        // Every attempt record nests the counters its attempt moved.
+        if (parsed.request.get_string("event") != "attempt") continue;
+        const auto nested = parsed.request.fields.find("metrics");
+        ASSERT_NE(nested, parsed.request.fields.end()) << record;
+        EXPECT_EQ(nested->second.kind, JsonValue::Kind::kNested) << record;
+        EXPECT_TRUE(parse_object(nested->second.str).ok) << record;
       }
       const std::string& last = rec.records.back();
       EXPECT_EQ(json_string_field(last, "event"), "result") << last;

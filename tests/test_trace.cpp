@@ -1,8 +1,6 @@
 // The tracing/metrics subsystem (src/support/trace, src/support/metrics):
 // span nesting, exporter schema validity, and the determinism contract —
-// counter totals must be bit-identical for any worker count. Every check
-// also passes under `cmake -DSERELIN_TRACE=OFF` (the compiled-out build),
-// where spans record nothing and every total is zero.
+// counter totals must be bit-identical for any worker count.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -189,10 +187,6 @@ TEST(Trace, SpansNestByScope) {
     { SERELIN_SPAN("inner-b"); }
   }
   Tracer::stop();
-  if (!trace_compiled_in()) {
-    EXPECT_EQ(Tracer::event_count(), 0u);
-    return;
-  }
   EXPECT_EQ(Tracer::event_count(), 3u);
   const std::string json = Tracer::chrome_json();
   // Inner spans carry depth 1, the outer span depth 0; completion order
@@ -267,7 +261,6 @@ TEST(Trace, SpansInsideParallelLanesAttachToWorkerTids) {
     SERELIN_SPAN("lane-work");
   });
   Tracer::stop();
-  if (!trace_compiled_in()) return;
   EXPECT_EQ(Tracer::event_count(), 8u);
   EXPECT_TRUE(JsonChecker(Tracer::chrome_json()).valid());
 }
@@ -304,7 +297,7 @@ TEST(Metrics, CountMacroAddsOnTheCallingThread) {
   SERELIN_COUNT(kOracleChecks, 3);
   SERELIN_COUNT(kOracleChecks, 2);
   const MetricsSnapshot delta = metrics_snapshot() - before;
-  EXPECT_EQ(delta[Counter::kOracleChecks], metrics_compiled_in() ? 5 : 0);
+  EXPECT_EQ(delta[Counter::kOracleChecks], 5);
 }
 
 TEST(Metrics, WriteMetricsJsonRoundTrips) {
@@ -330,10 +323,6 @@ TEST(Metrics, SimulatorCountsPatternWords) {
   ObservabilityAnalyzer engine(nl, cfg);
   engine.run();
   const MetricsSnapshot delta = metrics_snapshot() - before;
-  if (!metrics_compiled_in()) {
-    EXPECT_EQ(delta[Counter::kSimPatternWords], 0);
-    return;
-  }
   // warmup + record + re-evaluation frames, each gate_count * 2 words.
   EXPECT_GT(delta[Counter::kSimPatternWords], 0);
   EXPECT_EQ(delta[Counter::kSimPatternWords] %
@@ -368,13 +357,11 @@ TEST(Metrics, CounterTotalsIdenticalAcrossThreadCounts) {
 
   set_execution_threads(1);
   const MetricsSnapshot reference = run_kernels();
-  if (metrics_compiled_in()) {
-    EXPECT_GT(reference[Counter::kWdSources], 0);
-    EXPECT_GT(reference[Counter::kObsFlips], 0);
-    EXPECT_GT(reference[Counter::kSimOdcWords], 0);
-    EXPECT_GT(reference[Counter::kSerTerms], 0);
-    EXPECT_GT(reference[Counter::kElwIntervalOps], 0);
-  }
+  EXPECT_GT(reference[Counter::kWdSources], 0);
+  EXPECT_GT(reference[Counter::kObsFlips], 0);
+  EXPECT_GT(reference[Counter::kSimOdcWords], 0);
+  EXPECT_GT(reference[Counter::kSerTerms], 0);
+  EXPECT_GT(reference[Counter::kElwIntervalOps], 0);
   for (int threads : {2, 8}) {
     set_execution_threads(threads);
     const MetricsSnapshot at_n = run_kernels();
@@ -387,9 +374,9 @@ TEST(Metrics, CounterTotalsIdenticalAcrossThreadCounts) {
 // The counter gate of the production parallel kernels, pinned exactly. The
 // signature pass and the 3-argument SER sweep run on a 2000-gate circuit at
 // 1, 2 and 4 threads; results and counter snapshots must be bit-identical,
-// and with counters compiled in the totals must be these constants. A
-// counter that drifts means the kernel does different work, so a change
-// that moves one must say why and re-pin it here.
+// and the totals must be these constants. A counter that drifts means the
+// kernel does different work, so a change that moves one must say why and
+// re-pin it here.
 TEST(Metrics, KernelCounterTotalsArePinned) {
   ThreadGuard guard;
   RandomCircuitSpec spec;
@@ -437,16 +424,14 @@ TEST(Metrics, KernelCounterTotalsArePinned) {
 
   set_execution_threads(1);
   const Run reference = run();
-  if (metrics_compiled_in()) {
-    EXPECT_EQ(metrics_json(reference.obs_counters),
-              metrics_json(totals({{Counter::kSimPatternWords, 1536000},
-                                   {Counter::kSimOdcWords, 1024000}})));
-    EXPECT_EQ(metrics_json(reference.ser_counters),
-              metrics_json(totals({{Counter::kElwIntervalOps, 8420},
-                                   {Counter::kSimPatternWords, 256000},
-                                   {Counter::kSimOdcWords, 128000},
-                                   {Counter::kSerTerms, 2500}})));
-  }
+  EXPECT_EQ(metrics_json(reference.obs_counters),
+            metrics_json(totals({{Counter::kSimPatternWords, 1536000},
+                                 {Counter::kSimOdcWords, 1024000}})));
+  EXPECT_EQ(metrics_json(reference.ser_counters),
+            metrics_json(totals({{Counter::kElwIntervalOps, 8420},
+                                 {Counter::kSimPatternWords, 256000},
+                                 {Counter::kSimOdcWords, 128000},
+                                 {Counter::kSerTerms, 2500}})));
   for (int threads : {2, 4}) {
     set_execution_threads(threads);
     const Run at_n = run();

@@ -9,11 +9,10 @@ Two kinds of check, matching what is actually stable across machines:
 
 * Hard determinism gates (always enforced): every kernel of the current
   report must have `bit_identical_across_threads` and
-  `counters_identical_across_threads` true, and — when both reports carry
-  nonzero counter totals — the named-counter totals must equal the
-  baseline *exactly*. serve_bench counts jobs and cache hits as constants
-  of the workload shape, not of timing, so any drift is a real
-  behavioural change (a cache regression or an unintended workload
+  `counters_identical_across_threads` true, and the named-counter totals
+  must equal the baseline *exactly*. serve_bench counts jobs and cache
+  hits as constants of the workload shape, not of timing, so any drift is
+  a real behavioural change (a cache regression or an unintended workload
   change), never noise.
 
 * Soft wall-clock gate: per (kernel, threads) cell, current wall time must
@@ -70,17 +69,11 @@ def main():
 
         bc = bk.get("counters", {})
         cc = ck.get("counters", {})
-        # All-zero counters mean a SERELIN_TRACE=OFF build on that side;
-        # the exact-equality gate only makes sense when both sides counted.
-        if any(bc.values()) and any(cc.values()):
-            for key in sorted(set(bc) | set(cc)):
-                if bc.get(key, 0) != cc.get(key, 0):
-                    failures.append(
-                        f"{name}: counter {key} drifted "
-                        f"{bc.get(key, 0)} -> {cc.get(key, 0)}")
-        elif any(bc.values()) != any(cc.values()):
-            print(f"bench_gate: note: {name}: one side has no counters "
-                  "(SERELIN_TRACE=OFF build); counter gate skipped")
+        for key in sorted(set(bc) | set(cc)):
+            if bc.get(key, 0) != cc.get(key, 0):
+                failures.append(
+                    f"{name}: counter {key} drifted "
+                    f"{bc.get(key, 0)} -> {cc.get(key, 0)}")
 
         base_cells = {c["threads"]: c for c in bk.get("results", [])}
         cur_cells = {c["threads"]: c for c in ck.get("results", [])}

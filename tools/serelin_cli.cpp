@@ -398,11 +398,6 @@ int main(int argc, char** argv) {
     if (opt.threads < 0) usage("--threads must be >= 0 (0 = hardware)");
     opt.deadline.attach(interrupt);
     set_execution_threads(opt.threads);
-    const bool instrument = !opt.trace.empty() || !opt.metrics.empty();
-    if (instrument && !trace_compiled_in())
-      std::fprintf(stderr,
-                   "note: built with SERELIN_TRACE=OFF; --trace/--metrics "
-                   "outputs will be empty\n");
     if (!opt.trace.empty()) Tracer::start();
     const MetricsSnapshot metrics_before = metrics_snapshot();
     int rc = -1;

@@ -16,14 +16,12 @@
 #             jobs, duplicate cache hits, saturation backpressure),
 #             SIGTERM drain (exit 78) and double-bind rejection (exit 79)
 #
-#   tools/verify.sh [--fast] [--skip-static] [--skip-tsan] [--skip-asan]
+#   tools/verify.sh [--skip-static] [--skip-tsan] [--skip-asan]
 #                   [--stage NAME]...
 #
 # --stage may repeat; without it every stage runs (minus the --skip-*
 # ones; --skip-asan also skips the campaign and serve stages, which need
 # the ASan build — so the default list then runs no crash campaign).
-# --fast restricts ctest to the `fast` label (the exhaustive-optimality
-# and end-to-end suites are labelled `slow`; see tests/CMakeLists.txt).
 # Run from the repository root. Exits non-zero on the first failure.
 #
 # The static stage (docs/STATIC_ANALYSIS.md) degrades gracefully: the
@@ -42,10 +40,8 @@ SKIP_STATIC=0
 SKIP_TSAN=0
 SKIP_ASAN=0
 STAGES=()
-CTEST_ARGS=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
-    --fast) CTEST_ARGS=(-L fast) ;;
     --skip-static) SKIP_STATIC=1 ;;
     --skip-tsan) SKIP_TSAN=1 ;;
     --skip-asan) SKIP_ASAN=1 ;;
@@ -53,7 +49,7 @@ while [[ $# -gt 0 ]]; do
       [[ $# -ge 2 ]] || { echo "--stage needs a name" >&2; exit 64; }
       STAGES+=("$2")
       shift ;;
-    *) echo "usage: tools/verify.sh [--fast] [--skip-static] [--skip-tsan]" \
+    *) echo "usage: tools/verify.sh [--skip-static] [--skip-tsan]" \
             "[--skip-asan]" \
             "[--stage static|tier1|examples|tsan|asan|campaign|serve]..." >&2
        exit 64 ;;
@@ -130,7 +126,7 @@ stage_tier1() {
   echo "== tier1: build + ctest =="
   cmake -B build -S . > /dev/null
   cmake --build build -j"$(nproc)"
-  (cd build && ctest --output-on-failure -j"$(nproc)" "${CTEST_ARGS[@]}")
+  (cd build && ctest --output-on-failure -j"$(nproc)")
 }
 
 stage_examples() {
@@ -172,7 +168,7 @@ stage_asan() {
   echo "== asan: full suite under ASan+UBSan =="
   cmake -B build-asan -S . -DSERELIN_ASAN=ON > /dev/null
   cmake --build build-asan -j"$(nproc)"
-  (cd build-asan && ctest --output-on-failure -j"$(nproc)" "${CTEST_ARGS[@]}")
+  (cd build-asan && ctest --output-on-failure -j"$(nproc)")
 }
 
 stage_campaign() {
