@@ -185,8 +185,9 @@ std::vector<RegistryEntry> extract_protocol_fields(const TreeIndex& tree) {
           p += pat.size();
         }
       }
-      // check_fields allowlists: an initializer list `{ "a", "b", ... }`
-      // passed as an argument (the brace is preceded by '(' or ',').
+      // check_fields allowlists: an initializer list `{ "a", "b", ... }`,
+      // or a typed one `{{"a", kind}, {"b", kind}, ...}`, passed as an
+      // argument (the brace is preceded by '(' or ',').
       if (find_token(f.code[li], "check_fields") == std::string::npos)
         continue;
       std::string window;
@@ -208,7 +209,10 @@ std::vector<RegistryEntry> extract_protocol_fields(const TreeIndex& tree) {
         --prev;
       if (prev == 0 || (window[prev - 1] != '(' && window[prev - 1] != ','))
         continue;
-      for (std::size_t i = brace; i < window.size() && window[i] != '}'; ++i) {
+      int depth = 0;
+      for (std::size_t i = brace; i < window.size(); ++i) {
+        if (window[i] == '{') ++depth;
+        if (window[i] == '}' && --depth == 0) break;
         if (window[i] != '"') continue;
         const std::string name = quoted_name(window, i);
         if (!name.empty()) {

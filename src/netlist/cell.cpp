@@ -1,6 +1,5 @@
 #include "netlist/cell.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -133,41 +132,6 @@ std::uint64_t eval_cell(CellType type, std::span<const std::uint64_t> fanins) {
     }
   }
   SERELIN_ASSERT(false, "unreachable cell type");
-}
-
-void eval_cell_rows(CellType type, std::span<const std::uint32_t> fanins,
-                    const std::uint64_t* plane, std::span<std::uint64_t> out) {
-  const std::size_t words = out.size();
-  const auto row = [&](std::size_t k) {
-    return plane + static_cast<std::size_t>(fanins[k]) * words;
-  };
-  const auto fold = [&](auto op) {
-    for (std::size_t k = 1; k < fanins.size(); ++k) {
-      const std::uint64_t* in = row(k);
-      for (std::size_t w = 0; w < words; ++w) op(out[w], in[w]);
-    }
-  };
-  SERELIN_ASSERT(is_gate(type), "eval_cell_rows on a non-gate node");
-  std::copy(row(0), row(0) + words, out.begin());
-  switch (type) {
-    case CellType::kAnd:
-    case CellType::kNand:
-      fold([](std::uint64_t& acc, std::uint64_t x) { acc &= x; });
-      break;
-    case CellType::kOr:
-    case CellType::kNor:
-      fold([](std::uint64_t& acc, std::uint64_t x) { acc |= x; });
-      break;
-    case CellType::kXor:
-    case CellType::kXnor:
-      fold([](std::uint64_t& acc, std::uint64_t x) { acc ^= x; });
-      break;
-    default:  // kBuf, kNot: one fanin
-      break;
-  }
-  if (type == CellType::kNot || type == CellType::kNand ||
-      type == CellType::kNor || type == CellType::kXnor)
-    for (std::uint64_t& w : out) w = ~w;
 }
 
 }  // namespace serelin

@@ -60,15 +60,4 @@ int max_fanins(CellType type);
 /// flip-flop values directly from stored state instead of calling this.
 std::uint64_t eval_cell(CellType type, std::span<const std::uint64_t> fanins);
 
-/// Row evaluation: eval_cell over whole fanin rows at once. Row i of
-/// `plane` is the out.size() words starting at plane[i·out.size()], and
-/// fanin k reads row fanins[k]; out[w] = eval_cell(type, {word w of each
-/// fanin row}). One type switch per gate: row 0 is copied, each further
-/// row folded in with &=, |= or ^=, and the result complemented for
-/// NOT/NAND/NOR/XNOR. Gates only (is_gate(type)): the simulator sets
-/// inputs, flip-flops and constants itself. `out` must not overlap a
-/// fanin row.
-void eval_cell_rows(CellType type, std::span<const std::uint32_t> fanins,
-                    const std::uint64_t* plane, std::span<std::uint64_t> out);
-
 }  // namespace serelin

@@ -28,19 +28,52 @@ std::string error_line(const char* code, const std::string& detail) {
   return o.str();
 }
 
-/// Fields every op accepts (ignored everywhere): none. Fields are checked
-/// per-op against an allowlist so a typo'd knob fails loudly instead of
-/// silently running with defaults.
-bool check_fields(const Request& req, std::initializer_list<const char*> allowed,
-                  std::string& bad) {
-  for (const auto& [key, value] : req.fields) {
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) {
-      bad = key;
-      return false;
-    }
+/// One allowed request field and the JSON kind its value must have.
+struct FieldSpec {
+  const char* name;
+  JsonValue::Kind kind;
+};
+
+const char* kind_name(JsonValue::Kind kind) {
+  switch (kind) {
+    case JsonValue::Kind::kString: return "a string";
+    case JsonValue::Kind::kNumber: return "a number";
+    case JsonValue::Kind::kBool: return "a boolean";
+    case JsonValue::Kind::kNull: return "null";
+    case JsonValue::Kind::kNested: return "an object or array";
   }
+  return "unknown";
+}
+
+/// Fields are checked per-op against a typed allowlist, so a typo'd knob or
+/// a value of the wrong JSON kind fails loudly instead of silently running
+/// with defaults. Returns the complaint, empty when every field passes.
+std::string check_fields(const Request& req,
+                         std::initializer_list<FieldSpec> allowed) {
+  for (const auto& [key, value] : req.fields) {
+    const FieldSpec* spec = nullptr;
+    for (const FieldSpec& a : allowed)
+      if (key == a.name) spec = &a;
+    if (!spec) return "unknown field '" + key + "'";
+    if (value.kind != spec->kind)
+      return "'" + key + "' must be " + kind_name(spec->kind);
+  }
+  return {};
+}
+
+/// Reads the integer field `key`, when present, into `out`. False, with
+/// the complaint in `why`, when it is not an integer in [lo, hi]; the range
+/// is checked on the int64 value, before any narrowing.
+bool read_int(const Request& req, const char* key, std::int64_t lo,
+              std::int64_t hi, int& out, std::string& why) {
+  if (!req.fields.contains(key)) return true;
+  const std::optional<std::int64_t> v = req.get_int(key);
+  if (!v || *v < lo || *v > hi) {
+    why = "'" + std::string(key) + "' must be an integer in [" +
+          std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    return false;
+  }
+  out = static_cast<int>(*v);
   return true;
 }
 
@@ -228,54 +261,45 @@ std::string Server::handle_request(const Request& req, UnixStream& stream) {
 }
 
 std::string Server::op_submit(const Request& req) {
-  std::string bad;
-  if (!check_fields(req,
-                    {"circuit", "period", "rmin", "area_weight", "patterns",
-                     "frames", "warmup", "deadline_s", "priority", "cache",
-                     "start", "test_delay_ms"},
-                    bad)) {
+  using Kind = JsonValue::Kind;
+  const auto reject = [this](const std::string& why) {
     MutexLock lock(mutex_);
     ++stats_.rejected_bad_request;
-    return error_line("bad-request", "unknown field '" + bad + "'");
-  }
+    return error_line("bad-request", why);
+  };
+  if (std::string why = check_fields(
+          req, {{"circuit", Kind::kString}, {"period", Kind::kNumber},
+                {"rmin", Kind::kNumber}, {"area_weight", Kind::kNumber},
+                {"patterns", Kind::kNumber}, {"frames", Kind::kNumber},
+                {"warmup", Kind::kNumber}, {"deadline_s", Kind::kNumber},
+                {"priority", Kind::kNumber}, {"cache", Kind::kBool},
+                {"start", Kind::kString}, {"test_delay_ms", Kind::kNumber}});
+      !why.empty())
+    return reject(why);
   const auto circuit_text = req.get_string("circuit");
-  if (!circuit_text) {
-    MutexLock lock(mutex_);
-    ++stats_.rejected_bad_request;
-    return error_line("bad-request", "submit needs a string 'circuit'");
-  }
+  if (!circuit_text) return reject("submit needs a string 'circuit'");
 
   auto job = std::make_shared<Job>();
   job->period = req.get_number("period").value_or(0.0);
   job->rmin = req.get_number("rmin").value_or(-1.0);
   job->area_weight = req.get_number("area_weight").value_or(0.0);
-  job->patterns =
-      static_cast<int>(req.get_int("patterns").value_or(job->patterns));
-  job->frames = static_cast<int>(req.get_int("frames").value_or(job->frames));
-  job->warmup = static_cast<int>(req.get_int("warmup").value_or(job->warmup));
   job->deadline_s = req.get_number("deadline_s").value_or(0.0);
-  job->priority = static_cast<int>(req.get_int("priority").value_or(0));
   job->use_cache = req.get_bool("cache").value_or(true);
   job->start = req.get_string("start").value_or("minobswin");
-  job->test_delay_ms =
-      static_cast<int>(req.get_int("test_delay_ms").value_or(0));
 
+  // The CLI's bounds for patterns and frames, the sidecar parser's for
+  // warmup.
   std::string why;
-  if (job->patterns <= 0 || job->patterns % 64 != 0)
-    why = "'patterns' must be a positive multiple of 64";
-  else if (job->frames <= 0)
-    why = "'frames' must be positive";
-  else if (job->warmup < 0)
-    why = "'warmup' must be non-negative";
-  else if (job->test_delay_ms < 0)
-    why = "'test_delay_ms' must be non-negative";
-  else if (job->start != "minobswin" && job->start != "minobs")
-    why = "'start' must be minobswin or minobs";
-  if (!why.empty()) {
-    MutexLock lock(mutex_);
-    ++stats_.rejected_bad_request;
-    return error_line("bad-request", why);
-  }
+  if (!read_int(req, "patterns", 64, 1 << 20, job->patterns, why) ||
+      !read_int(req, "frames", 1, 1 << 16, job->frames, why) ||
+      !read_int(req, "warmup", 0, 100000, job->warmup, why) ||
+      !read_int(req, "priority", -1000000, 1000000, job->priority, why) ||
+      !read_int(req, "test_delay_ms", 0, 600000, job->test_delay_ms, why))
+    return reject(why);
+  if (job->patterns % 64 != 0)
+    return reject("'patterns' must be a multiple of 64");
+  if (job->start != "minobswin" && job->start != "minobs")
+    return reject("'start' must be minobswin or minobs");
   // Per-job budget, capped by the server's configured maximum.
   if (job->deadline_s <= 0 || job->deadline_s > config_.max_deadline_s)
     job->deadline_s = config_.max_deadline_s;

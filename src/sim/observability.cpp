@@ -81,10 +81,7 @@ ObsResult ObservabilityAnalyzer::run_signature(
   const std::size_t n_nodes = nl.node_count();
   const std::size_t words = static_cast<std::size_t>(words_);
   Simulator sim(nl, words_);
-
-  // Gate fanin pins: sim-odc-words counts one per pin, word and frame.
-  std::size_t pins = 0;
-  for (NodeId g : nl.gate_order()) pins += nl.node(g).fanins.size();
+  const GateProgram& prog = sim.program();
 
   std::vector<std::uint64_t> odc(n_nodes * words, 0);
   // ODC of each flip-flop node in frame i+1, indexed by dff position.
@@ -97,6 +94,8 @@ ObsResult ObservabilityAnalyzer::run_signature(
   // a line measured slower than one inline sweep (EXPERIMENTS.md).
   const std::size_t lanes = static_cast<std::size_t>(parallel_workers());
   const std::size_t block = ((words + lanes - 1) / lanes + 7) / 8 * 8;
+  // One scratch row of `block` words per lane, for the push's sens_u.
+  std::vector<std::uint64_t> scratch(lanes * block);
 
   for (int frame = cfg_.frames - 1; frame >= 0; --frame) {
     // Per-frame checkpoint: a partial ODC plane is not a valid
@@ -110,7 +109,7 @@ ObsResult ObservabilityAnalyzer::run_signature(
     const Simulator& csim = sim;
 
     parallel_for_chunks(0, words, block, [&](std::size_t w0, std::size_t w1,
-                                             int /*lane*/) {
+                                             int lane) {
       const std::size_t len = w1 - w0;
       const auto val = [&](NodeId v) { return csim.value(v).data() + w0; };
       const auto odc_of = [&](NodeId v) {
@@ -132,11 +131,15 @@ ObsResult ObservabilityAnalyzer::run_signature(
       // has pushed into it already, so its ODC is complete. Each net u the
       // gate reads gains sens_u & ODC(gate), sens_u the local Boolean
       // difference of the gate in u; a flip of u flips every pin reading u.
-      const auto& order = nl.gate_order();
-      for (auto it = order.rbegin(); it != order.rend(); ++it) {
-        const Node& g = nl.node(*it);
-        const std::uint64_t* odc_g = odc_of(*it);
-        switch (g.type) {
+      // sens_u is built in the lane's scratch row one pin at a time, each
+      // pass a straight word sweep.
+      std::uint64_t* sens =
+          scratch.data() + static_cast<std::size_t>(lane) * block;
+      for (std::size_t k = prog.gates(); k-- > 0;) {
+        const std::span<const NodeId> fanins = prog.fanins(k);
+        const std::uint64_t* odc_g = odc_of(prog.node[k]);
+        const CellType type = prog.type[k];
+        switch (type) {
           case CellType::kAnd:
           case CellType::kNand:
           case CellType::kOr:
@@ -144,31 +147,31 @@ ObsResult ObservabilityAnalyzer::run_signature(
             // A flip of u shows iff every pin reading another net is
             // non-controlling: 1 for AND/NAND, 0 for OR/NOR.
             const std::uint64_t flip =
-                g.type == CellType::kOr || g.type == CellType::kNor ? ~0ULL
-                                                                    : 0ULL;
-            for (const NodeId u : g.fanins) {
-              std::uint64_t* odc_u = odc_of(u);
-              for (std::size_t w = 0; w < len; ++w) {
-                std::uint64_t sens = odc_g[w];
-                for (const NodeId x : g.fanins)
-                  if (x != u) sens &= val(x)[w] ^ flip;
-                odc_u[w] |= sens;
+                type == CellType::kOr || type == CellType::kNor ? ~0ULL : 0ULL;
+            for (const NodeId u : fanins) {
+              std::copy_n(odc_g, len, sens);
+              for (const NodeId x : fanins) {
+                if (x == u) continue;
+                const std::uint64_t* vx = val(x);
+                for (std::size_t w = 0; w < len; ++w) sens[w] &= vx[w] ^ flip;
               }
+              std::uint64_t* odc_u = odc_of(u);
+              for (std::size_t w = 0; w < len; ++w) odc_u[w] |= sens[w];
             }
             break;
           }
           default:  // kBuf, kNot, kXor, kXnor: a flip of u shows iff it
                     // flips an odd number of pins
-            for (const NodeId u : g.fanins) {
-              if (std::count(g.fanins.begin(), g.fanins.end(), u) % 2 == 0)
-                continue;
+            for (const NodeId u : fanins) {
+              if (std::ranges::count(fanins, u) % 2 == 0) continue;
               std::uint64_t* odc_u = odc_of(u);
               for (std::size_t w = 0; w < len; ++w) odc_u[w] |= odc_g[w];
             }
             break;
         }
       }
-      SERELIN_COUNT(kSimOdcWords, static_cast<std::int64_t>(pins * len));
+      SERELIN_COUNT(kSimOdcWords,
+                    static_cast<std::int64_t>(prog.fanin.size() * len));
     });
 
     // Snapshot flip-flop ODCs for the next (earlier) frame's cross terms.

@@ -23,10 +23,12 @@
 // The pass is a push, frame by frame from the last: every node's mask is
 // seeded with its PO mask, each flip-flop's cross-frame term (all ones
 // after the last frame, else the flip-flop's mask in the next frame) is
-// ORed into the net on its D pin, and gates are walked in reverse
-// topological order, each ORing sens_u & O(gate) into every net u it
-// reads. sens_u is the local Boolean difference of the gate in u, applied
-// bitwise (the sensitization rules of Asadi & Tahoori's
+// ORed into the net on its D pin, and the simulator's GateProgram is
+// walked backwards, each gate ORing sens_u & O(gate) into every net u it
+// reads. sens_u is built in a scratch row, one word sweep per pin: start
+// from O(gate), AND in each pin that reads another net, then OR the row
+// into O(u). sens_u is the local Boolean difference of the gate in u,
+// applied bitwise (the sensitization rules of Asadi & Tahoori's
 // propagation-probability estimator); a flip of u flips every pin that
 // reads u, so
 //     AND/NAND        the AND of the pins reading other nets,

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <ostream>
 
 #include "helpers.hpp"
@@ -39,37 +38,6 @@ TEST(Cell, Classification) {
   EXPECT_TRUE(is_gate(CellType::kXor));
   EXPECT_FALSE(is_gate(CellType::kDff));
   EXPECT_FALSE(is_gate(CellType::kConst1));
-}
-
-TEST(Cell, RowEvalMatchesEvalCell) {
-  // eval_cell_rows must be eval_cell applied word by word, whatever the
-  // gate type, the arity and the row length; fanins read the plane's rows
-  // out of order, so a kernel that assumed fanin k = row k would fail.
-  Rng rng(0xce11ULL);
-  for (int t = 0; t < kNumCellTypes; ++t) {
-    const auto type = static_cast<CellType>(t);
-    if (!is_gate(type)) continue;
-    const int hi = std::min(max_fanins(type), 5);
-    for (int arity = min_fanins(type); arity <= hi; ++arity) {
-      for (std::size_t words = 1; words <= 5; ++words) {
-        const std::size_t rows = 6;
-        std::vector<std::uint64_t> plane(rows * words);
-        for (auto& w : plane) w = rng.next();
-        std::vector<std::uint32_t> fanins;
-        for (int k = 0; k < arity; ++k)
-          fanins.push_back(static_cast<std::uint32_t>((k * 4 + 5) % rows));
-        std::vector<std::uint64_t> out(words, 0x5a5a5a5a5a5a5a5aULL);
-        eval_cell_rows(type, fanins, plane.data(), out);
-        for (std::size_t w = 0; w < words; ++w) {
-          std::vector<std::uint64_t> in;
-          for (const std::uint32_t f : fanins) in.push_back(plane[f * words + w]);
-          EXPECT_EQ(out[w], eval_cell(type, in))
-              << cell_type_name(type) << " arity " << arity << " words "
-              << words << " word " << w;
-        }
-      }
-    }
-  }
 }
 
 struct EvalCase {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "check/exact_observability.hpp"
 #include "gen/paper_suite.hpp"
@@ -9,6 +11,7 @@
 #include "netlist/builder.hpp"
 #include "sim/observability.hpp"
 #include "support/corpus.hpp"
+#include "support/strings.hpp"
 
 namespace serelin {
 namespace {
@@ -112,6 +115,37 @@ TEST(Observability, SignatureMatchesExactWithRepeatedFanins) {
   nb.gate("m", CellType::kAnd, {"y", "z"});
   nb.gate("o", CellType::kOr, {"m", "x"});
   nb.output("o");
+  // Every push path of the wide gates too: 4- and 5-input AND, NAND, OR
+  // and NOR over distinct nets and with one net read on two pins, and a
+  // 4-input XOR that reads one net three times. Each drives an AND with a
+  // side input of its own, so its ODC is not all ones.
+  int fresh = 0;
+  const auto pi = [&] {
+    const std::string name = numbered("i", fresh++);
+    nb.input(name);
+    return name;
+  };
+  std::vector<std::string> wide;
+  for (const CellType type :
+       {CellType::kAnd, CellType::kNand, CellType::kOr, CellType::kNor}) {
+    for (const int arity : {4, 5}) {
+      for (const bool twice : {false, true}) {
+        std::vector<std::string> fanins;
+        for (int k = 0; k < arity - (twice ? 1 : 0); ++k)
+          fanins.push_back(pi());
+        if (twice) fanins.insert(fanins.begin() + 2, fanins[0]);
+        wide.push_back(numbered("w", static_cast<std::int64_t>(wide.size())));
+        nb.gate(wide.back(), type, fanins);
+      }
+    }
+  }
+  const std::string thrice = pi();
+  wide.push_back("x4");
+  nb.gate("x4", CellType::kXor, {thrice, pi(), thrice, thrice});
+  for (const std::string& w : wide) {
+    nb.gate(w + "_o", CellType::kAnd, {w, pi()});
+    nb.output(w + "_o");
+  }
   const Netlist nl = nb.build();
   const auto approx = ObservabilityAnalyzer(nl, small_cfg(1)).run();
   const auto exact = exact_observability(nl, small_cfg(1));
@@ -120,6 +154,7 @@ TEST(Observability, SignatureMatchesExactWithRepeatedFanins) {
   EXPECT_EQ(approx.obs[nl.find("a")], 0.0);
   EXPECT_GT(approx.obs[nl.find("b")], 0.0);
   EXPECT_GT(approx.obs[nl.find("d")], 0.0);
+  EXPECT_GT(approx.obs[nl.find(thrice)], 0.0);
 }
 
 TEST(Observability, SignatureMatchesExactOnSequentialChain) {

@@ -216,6 +216,46 @@ TEST(ServeServer, MalformedRequestKeepsConnectionAlive) {
   EXPECT_EQ(stats.rejected_bad_request, 5);
 }
 
+TEST(ServeServer, SubmitRejectsOutOfRangeAndMistypedFields) {
+  // Integers are range-checked as int64 before they are narrowed, and a
+  // field of the wrong JSON kind is rejected, not read as its default:
+  // unchecked, 4294967360 patterns wrap to 64, 4294967297 frames to 1,
+  // "100" patterns keep the default 128 and "cache":"off" keeps the cache.
+  TestServer ts;
+  UnixStream s = ts.connect();
+  const auto submit = [&](const std::string& key, const auto& value) {
+    JsonObject o;
+    o.set("op", "submit").set("circuit", tiny_bench()).set(key, value);
+    return rpc(s, o.str());
+  };
+  const std::vector<Request> rejected = {
+      submit("patterns", std::int64_t{4294967360}),
+      submit("frames", std::int64_t{4294967297}),
+      submit("patterns", "100"),
+      submit("cache", "off"),
+      submit("patterns", 64.5),
+      submit("patterns", 96),
+      submit("warmup", 100001),
+      submit("priority", std::int64_t{1} << 40),
+      submit("test_delay_ms", -1),
+      submit("period", "1.5"),
+      submit("start", false),
+  };
+  for (std::size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_EQ(rejected[i].get_bool("ok"), false) << "case " << i;
+    EXPECT_EQ(rejected[i].get_string("error"), "bad-request") << "case " << i;
+  }
+  // None of them created a job, so the 64-pattern submit the first would
+  // have wrapped to is the first job and misses the cache.
+  const Request ok = submit("patterns", 64);
+  EXPECT_EQ(ok.get_bool("ok"), true);
+  EXPECT_EQ(ok.get_bool("cached"), false);
+  const ServerStats stats = ts.server->stats();
+  EXPECT_EQ(stats.rejected_bad_request,
+            static_cast<std::int64_t>(rejected.size()));
+  EXPECT_EQ(stats.submitted, 1);
+}
+
 TEST(ServeServer, SubmitRunsVerifiedAndReportsStatus) {
   TestServer ts;
   UnixStream s = ts.connect();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
 #include "sim/simulator.hpp"
@@ -122,6 +125,50 @@ TEST(Simulator, WordParallelMatchesScalar) {
     narrow.value(nl.find("y"))[0] = wide.value(nl.find("y"))[w];
     narrow.eval_frame();
     EXPECT_EQ(narrow.value(nl.find("g3"))[0], wide.value(nl.find("g3"))[w]);
+  }
+}
+
+TEST(Cell, RowEvalMatchesEvalCell) {
+  // eval_cell_rows must be eval_cell applied word by word, whatever the
+  // gate type, the arity and the row length; fanins read the plane's rows
+  // out of order, so a kernel that assumed fanin k = row k would fail.
+  // Arity-2 and arity-3 gates also read one row on two pins, which a first
+  // pass that folds several rows at once must get right (the formula
+  // repeats a row only from arity 4 on).
+  Rng rng(0xce11ULL);
+  for (int t = 0; t < kNumCellTypes; ++t) {
+    const auto type = static_cast<CellType>(t);
+    if (!is_gate(type)) continue;
+    const int hi = std::min(max_fanins(type), 5);
+    for (int arity = min_fanins(type); arity <= hi; ++arity) {
+      const std::size_t rows = 6;
+      std::vector<std::vector<std::uint32_t>> layouts(1);
+      for (int k = 0; k < arity; ++k)
+        layouts[0].push_back(static_cast<std::uint32_t>((k * 4 + 5) % rows));
+      if (arity == 2) layouts.push_back({3, 3});
+      if (arity == 3) {
+        layouts.push_back({1, 4, 1});
+        layouts.push_back({4, 4, 1});
+        layouts.push_back({1, 4, 4});
+      }
+      for (const auto& fanins : layouts) {
+        for (std::size_t words = 1; words <= 5; ++words) {
+          std::vector<std::uint64_t> plane(rows * words);
+          for (auto& w : plane) w = rng.next();
+          std::vector<std::uint64_t> out(words, 0x5a5a5a5a5a5a5a5aULL);
+          eval_cell_rows(type, fanins, plane.data(), out);
+          for (std::size_t w = 0; w < words; ++w) {
+            std::vector<std::uint64_t> in;
+            for (const std::uint32_t f : fanins)
+              in.push_back(plane[f * words + w]);
+            EXPECT_EQ(out[w], eval_cell(type, in))
+                << cell_type_name(type) << " fanins " << fanins.size()
+                << " first " << fanins[0] << " words " << words << " word "
+                << w;
+          }
+        }
+      }
+    }
   }
 }
 
