@@ -9,10 +9,9 @@
 //   MinObsWin:        Δ#FF_new  t_new  #J  ΔSER_new  SER_ref/SER_new
 // plus the paper's published ΔSER columns for side-by-side comparison.
 //
-// Simulation fidelity is scaled by circuit size so the whole table runs on
-// one core in minutes (the paper's K=2048/n=15 on the small rows; reduced
-// K/n on the 60k+-gate rows). Set SERELIN_TABLE1_FULL=1 for paper-fidelity
-// everywhere, or SERELIN_TABLE1_MAXV=<n> to limit the rows attempted.
+// Every row runs at the paper's fidelity: K=2048 patterns over n=15 time
+// frames, after 30 warm-up frames. Set SERELIN_TABLE1_MAXV=<n> to skip the
+// rows with more than n vertices.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +43,6 @@ int env_int(const char* name, int fallback) {
 
 int main() {
   using namespace serelin;
-  const bool full = env_int("SERELIN_TABLE1_FULL", 0) != 0;
   const int max_v = env_int("SERELIN_TABLE1_MAXV", 250000);
 
   TextTable table({"Circuit", "|V|", "|E|", "#FF", "Phi", "SER",
@@ -63,22 +61,11 @@ int main() {
                   sc.name.c_str(), sc.vertices, max_v);
       continue;
     }
-    FlowConfig config;
-    if (full || sc.vertices <= 25000) {
-      config.sim.patterns = 2048;  // the paper's K and n = 15 frames
-      config.sim.frames = 15;
-    } else if (sc.vertices <= 80000) {
-      config.sim.patterns = 1024;
-      config.sim.frames = 10;
-    } else {
-      config.sim.patterns = 256;
-      config.sim.frames = 6;
-    }
-    config.sim.warmup = 2 * config.sim.frames;
-    config.init.feas_passes = sc.vertices > 50000 ? 120 : 0;
-
     Stopwatch row_watch;
     const Netlist nl = generate_suite_circuit(sc);
+    // FlowConfig's simulation defaults are the paper's: K=2048 patterns,
+    // n=15 frames, 30 warm-up frames.
+    const FlowConfig config{};
     const ExperimentRow row = run_experiment(nl, CellLibrary{}, config);
 
     const double ratio =

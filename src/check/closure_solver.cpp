@@ -1,4 +1,4 @@
-#include "core/closure_solver.hpp"
+#include "check/closure_solver.hpp"
 
 #include <algorithm>
 #include <vector>

@@ -7,10 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "check/closure_solver.hpp"
+#include "check/exhaustive.hpp"
 #include "check/oracle.hpp"
 #include "check/wd_matrices.hpp"
-#include "core/closure_solver.hpp"
-#include "core/exhaustive.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/objective.hpp"
@@ -303,17 +303,25 @@ DifferentialReport run_differential(const Netlist& nl, const DiffConfig& cfg) {
         eo.deadline = engine_deadline(cfg);
         const ExhaustiveResult ex =
             exhaustive_best(g, gains, eo, init.r, bound);
-        EngineOutcome& out = h.outcome("exhaustive", EngineStatus::kOk);
+        // A stopped enumeration holds only the best point it reached, not
+        // the optimum: a timeout, excluded from the objective comparison.
+        const bool stopped = ex.stop_reason != StopReason::kNone;
+        EngineOutcome& out = h.outcome(
+            "exhaustive",
+            stopped ? EngineStatus::kTimeout : EngineStatus::kOk,
+            stopped ? std::string("exhaustive: stopped (") +
+                          stop_reason_name(ex.stop_reason) + ") after " +
+                          std::to_string(ex.feasible_points) +
+                          " feasible points"
+                    : std::string());
         out.objective_gain = ex.objective_gain;
-        if (forest.res.objective_gain != ex.objective_gain) {
+        if (!stopped && forest.res.objective_gain != ex.objective_gain) {
           h.diverge("objective-mismatch",
                     "forest gain " + std::to_string(forest.res.objective_gain) +
                         " != exhaustive optimum " +
                         std::to_string(ex.objective_gain) + " (bound " +
                         std::to_string(bound) + ")");
         }
-      } catch (const CancelledError& e) {
-        h.outcome("exhaustive", EngineStatus::kTimeout, e.what());
       } catch (const std::exception& e) {
         h.outcome("exhaustive", EngineStatus::kCrashed, e.what());
         h.diverge("engine-crash", std::string("exhaustive threw: ") + e.what());

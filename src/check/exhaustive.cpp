@@ -1,4 +1,4 @@
-#include "core/exhaustive.hpp"
+#include "check/exhaustive.hpp"
 
 #include <vector>
 

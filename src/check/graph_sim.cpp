@@ -1,4 +1,4 @@
-#include "sim/graph_sim.hpp"
+#include "check/graph_sim.hpp"
 
 #include <algorithm>
 

@@ -18,12 +18,14 @@ ObsGains area_gains(const RetimingGraph& g) {
 
 MinAreaResult min_area_retime(const RetimingGraph& g,
                               const TimingParams& timing,
-                              const Retiming& initial, double rmin) {
+                              const Retiming& initial, double rmin,
+                              const Deadline& deadline) {
   const ObsGains gains = area_gains(g);
   SolverOptions options;
   options.timing = timing;
   options.rmin = rmin;
   options.enforce_elw = rmin > 0.0;
+  options.deadline = deadline;
   MinObsWinSolver solver(g, gains, options);
 
   MinAreaResult out;

@@ -31,9 +31,11 @@ struct MinAreaResult {
 };
 
 /// Minimizes register positions from `initial` under the period constraint
-/// (setup only; pass rmin > 0 to keep hold/ELW control too).
+/// (setup only; pass rmin > 0 to keep hold/ELW control too), stopping at
+/// `deadline` with the best legal retiming so far.
 MinAreaResult min_area_retime(const RetimingGraph& g,
                               const TimingParams& timing,
-                              const Retiming& initial, double rmin = 0.0);
+                              const Retiming& initial, double rmin = 0.0,
+                              const Deadline& deadline = {});
 
 }  // namespace serelin

@@ -179,23 +179,23 @@ StageCandidate StageRunner::solve(PipelineStage stage,
   c.rmin = rmin_;
   switch (stage) {
     case PipelineStage::kMinObsWin:
-    case PipelineStage::kMinObs:
-    case PipelineStage::kMinArea: {
-      // Min-area is the same solver on unit observabilities
-      // (core/min_area.hpp), keeping hold/ELW control when R_min > 0.
-      const bool area = stage == PipelineStage::kMinArea;
-      std::optional<ObsGains> unit;
-      const ObsGains& stage_gains =
-          area ? unit.emplace(area_gains(g_)) : gains(budget);
+    case PipelineStage::kMinObs: {
       SolverOptions so;
       so.timing = timing_;
       so.rmin = rmin_;
-      so.enforce_elw = area ? rmin_ > 0.0 : stage == PipelineStage::kMinObsWin;
+      so.enforce_elw = stage == PipelineStage::kMinObsWin;
       so.deadline = budget;
-      c.result = MinObsWinSolver(g_, stage_gains, so).solve(init_.r);
+      c.result = MinObsWinSolver(g_, gains(budget), so).solve(init_.r);
       c.check_elw = stage == PipelineStage::kMinObsWin && rmin_ > 0 &&
                     !c.result.exited_early;
-      c.has_gains = !area;
+      c.has_gains = true;
+      break;
+    }
+    case PipelineStage::kMinArea: {
+      // Min-area claims no Eq. (5) objective, so the oracle checks
+      // invariants 1-3 only (has_gains stays false).
+      c.result =
+          min_area_retime(g_, timing_, init_.r, rmin_, budget).solver;
       break;
     }
     case PipelineStage::kMinPeriod: {

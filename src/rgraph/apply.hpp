@@ -10,7 +10,7 @@
 // (.bench carries no initial-state syntax). A retiming generally requires a
 // *computed* equivalent initial state; forward retimings (r <= 0, the only
 // kind serelin's optimizers produce) admit one constructively — see
-// decompose_forward() in src/sim/graph_sim.hpp.
+// decompose_forward() in src/check/graph_sim.hpp.
 #pragma once
 
 #include <string>

@@ -237,36 +237,30 @@ std::string Server::handle_request(const Request& req, UnixStream& stream) {
   if (req.op == "result") return op_result(req);
   if (req.op == "cancel") return op_cancel(req);
   if (req.op == "stream") return op_stream(req, stream);
+  if (req.op != "stats" && req.op != "ping" && req.op != "shutdown")
+    return bad_request("unknown op '" + req.op + "'");
+  // The field-less ops.
+  if (std::string why = check_fields(req, {}); !why.empty())
+    return bad_request(why);
   if (req.op == "stats") return op_stats();
-  if (req.op == "ping") {
-    JsonObject o;
-    o.set("ok", true).set("event", "pong");
-    return o.str();
-  }
   if (req.op == "shutdown") {
-    {
-      MutexLock lock(mutex_);
-      shutdown_requested_ = true;
-      queue_cv_.notify_all();
-    }
-    JsonObject o;
-    o.set("ok", true).set("event", "shutting-down");
-    return o.str();
-  }
-  {
     MutexLock lock(mutex_);
-    ++stats_.rejected_bad_request;
+    shutdown_requested_ = true;
+    queue_cv_.notify_all();
   }
-  return error_line("bad-request", "unknown op '" + req.op + "'");
+  JsonObject o;
+  o.set("ok", true).set("event", req.op == "ping" ? "pong" : "shutting-down");
+  return o.str();
+}
+
+std::string Server::bad_request(const std::string& why) {
+  MutexLock lock(mutex_);
+  ++stats_.rejected_bad_request;
+  return error_line("bad-request", why);
 }
 
 std::string Server::op_submit(const Request& req) {
   using Kind = JsonValue::Kind;
-  const auto reject = [this](const std::string& why) {
-    MutexLock lock(mutex_);
-    ++stats_.rejected_bad_request;
-    return error_line("bad-request", why);
-  };
   if (std::string why = check_fields(
           req, {{"circuit", Kind::kString}, {"period", Kind::kNumber},
                 {"rmin", Kind::kNumber}, {"area_weight", Kind::kNumber},
@@ -275,9 +269,9 @@ std::string Server::op_submit(const Request& req) {
                 {"priority", Kind::kNumber}, {"cache", Kind::kBool},
                 {"start", Kind::kString}, {"test_delay_ms", Kind::kNumber}});
       !why.empty())
-    return reject(why);
+    return bad_request(why);
   const auto circuit_text = req.get_string("circuit");
-  if (!circuit_text) return reject("submit needs a string 'circuit'");
+  if (!circuit_text) return bad_request("submit needs a string 'circuit'");
 
   auto job = std::make_shared<Job>();
   job->period = req.get_number("period").value_or(0.0);
@@ -295,11 +289,11 @@ std::string Server::op_submit(const Request& req) {
       !read_int(req, "warmup", 0, 100000, job->warmup, why) ||
       !read_int(req, "priority", -1000000, 1000000, job->priority, why) ||
       !read_int(req, "test_delay_ms", 0, 600000, job->test_delay_ms, why))
-    return reject(why);
+    return bad_request(why);
   if (job->patterns % 64 != 0)
-    return reject("'patterns' must be a multiple of 64");
+    return bad_request("'patterns' must be a multiple of 64");
   if (job->start != "minobswin" && job->start != "minobs")
-    return reject("'start' must be minobswin or minobs");
+    return bad_request("'start' must be minobswin or minobs");
   // Per-job budget, capped by the server's configured maximum.
   if (job->deadline_s <= 0 || job->deadline_s > config_.max_deadline_s)
     job->deadline_s = config_.max_deadline_s;
@@ -383,8 +377,11 @@ std::string Server::op_submit(const Request& req) {
 }
 
 std::string Server::op_status(const Request& req) {
+  if (std::string why = check_fields(req, {{"job", JsonValue::Kind::kString}});
+      !why.empty())
+    return bad_request(why);
   const auto id = req.get_string("job");
-  if (!id) return error_line("bad-request", "status needs a string 'job'");
+  if (!id) return bad_request("status needs a string 'job'");
   const JobPtr job = find_job(*id);
   if (!job) return error_line("unknown-job", "no job '" + *id + "'");
   MutexLock lock(mutex_);
@@ -399,13 +396,20 @@ std::string Server::op_status(const Request& req) {
 }
 
 std::string Server::op_result(const Request& req) {
+  using Kind = JsonValue::Kind;
+  if (std::string why = check_fields(req, {{"job", Kind::kString},
+                                           {"wait", Kind::kBool},
+                                           {"timeout_s", Kind::kNumber}});
+      !why.empty())
+    return bad_request(why);
   const auto id = req.get_string("job");
-  if (!id) return error_line("bad-request", "result needs a string 'job'");
+  if (!id) return bad_request("result needs a string 'job'");
+  const double timeout_s =
+      req.get_number("timeout_s").value_or(2.0 * config_.max_deadline_s);
+  if (timeout_s < 0) return bad_request("'timeout_s' must be non-negative");
   const JobPtr job = find_job(*id);
   if (!job) return error_line("unknown-job", "no job '" + *id + "'");
   const bool wait = req.get_bool("wait").value_or(false);
-  const double timeout_s =
-      req.get_number("timeout_s").value_or(2.0 * config_.max_deadline_s);
   const Deadline patience = Deadline::after(timeout_s);
   {
     MutexLock lock(mutex_);
@@ -437,8 +441,11 @@ std::string Server::op_result(const Request& req) {
 }
 
 std::string Server::op_cancel(const Request& req) {
+  if (std::string why = check_fields(req, {{"job", JsonValue::Kind::kString}});
+      !why.empty())
+    return bad_request(why);
   const auto id = req.get_string("job");
-  if (!id) return error_line("bad-request", "cancel needs a string 'job'");
+  if (!id) return bad_request("cancel needs a string 'job'");
   const JobPtr job = find_job(*id);
   if (!job) return error_line("unknown-job", "no job '" + *id + "'");
   MutexLock lock(mutex_);
@@ -462,8 +469,11 @@ std::string Server::op_cancel(const Request& req) {
 }
 
 std::string Server::op_stream(const Request& req, UnixStream& stream) {
+  if (std::string why = check_fields(req, {{"job", JsonValue::Kind::kString}});
+      !why.empty())
+    return bad_request(why);
   const auto id = req.get_string("job");
-  if (!id) return error_line("bad-request", "stream needs a string 'job'");
+  if (!id) return bad_request("stream needs a string 'job'");
   const JobPtr job = find_job(*id);
   if (!job) return error_line("unknown-job", "no job '" + *id + "'");
   std::size_t sent = 0;

@@ -185,6 +185,9 @@ class Server {
   std::string op_stream(const Request& req, UnixStream& stream);
   std::string op_stats();
 
+  /// Counts a rejected request and returns its "bad-request" line.
+  std::string bad_request(const std::string& why);
+
   JobPtr find_job(const std::string& id) const;
 
   const ServerConfig config_;

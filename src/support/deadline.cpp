@@ -17,12 +17,29 @@ const char* stop_reason_name(StopReason r) {
   return "none";
 }
 
+namespace {
+
+/// `seconds` from now, saturating at the clock's last tick: a budget
+/// longer than the clock can represent never expires, where the plain
+/// cast to the clock's integer ticks would overflow into the past.
+/// Non-positive (and NaN) budgets are already expired.
+Deadline::Clock::time_point expiry_after(double seconds) {
+  using Clock = Deadline::Clock;
+  const Clock::time_point now = Clock::now();
+  const std::chrono::duration<double, Clock::period> budget =
+      std::chrono::duration<double>(seconds > 0 ? seconds : 0);
+  const Clock::duration room = Clock::time_point::max() - now;
+  if (budget.count() >= static_cast<double>(room.count()))
+    return Clock::time_point::max();
+  return now + std::chrono::duration_cast<Clock::duration>(budget);
+}
+
+}  // namespace
+
 Deadline Deadline::after(double seconds) {
   Deadline d;
   d.timed_ = true;
-  d.at_ = Clock::now() +
-          std::chrono::duration_cast<Clock::duration>(
-              std::chrono::duration<double>(seconds > 0 ? seconds : 0));
+  d.at_ = expiry_after(seconds);
   return d;
 }
 
@@ -55,10 +72,7 @@ double Deadline::remaining_seconds() const {
 Deadline Deadline::slice(double seconds) const {
   Deadline d = *this;  // keeps the token and any existing expiry
   if (std::isfinite(seconds)) {
-    const auto at = Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            seconds > 0 ? seconds : 0));
+    const Clock::time_point at = expiry_after(seconds);
     if (!d.timed_ || at < d.at_) d.at_ = at;
     d.timed_ = true;
   }

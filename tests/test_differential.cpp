@@ -22,10 +22,10 @@
 #include <string>
 #include <vector>
 
+#include "check/closure_solver.hpp"
 #include "check/differential.hpp"
 #include "check/shrink.hpp"
 #include "check/wd_matrices.hpp"
-#include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/solver.hpp"
@@ -405,6 +405,31 @@ TEST(Differential, TimeoutIsNotADivergence) {
   for (const EngineOutcome& e : report.engines)
     saw_timeout |= e.status == EngineStatus::kTimeout;
   EXPECT_TRUE(saw_timeout) << report.summary();
+}
+
+TEST(Differential, StoppedExhaustiveIsATimeoutNotAnOptimum) {
+  // The forest converges in well under 0.05 s, but the 7^10-point search
+  // box cannot: its best point so far is no optimum to compare against.
+  RandomCircuitSpec spec;
+  spec.name = "budget";
+  spec.gates = 10;
+  spec.dffs = 6;
+  spec.seed = 1;
+  DiffConfig cfg;
+  cfg.exhaustive_max_gates = 10;
+  cfg.exhaustive_bound = 6;
+  cfg.engine_seconds = 0.05;
+  const DifferentialReport report =
+      run_differential(generate_random_circuit(spec), cfg);
+  ASSERT_TRUE(report.ran) << report.summary();
+  std::optional<EngineStatus> forest, exhaustive;
+  for (const EngineOutcome& e : report.engines) {
+    if (e.name == "forest") forest = e.status;
+    if (e.name == "exhaustive") exhaustive = e.status;
+  }
+  EXPECT_EQ(forest, EngineStatus::kOk) << report.summary();
+  EXPECT_EQ(exhaustive, EngineStatus::kTimeout) << report.summary();
+  EXPECT_FALSE(report.divergent()) << report.summary();
 }
 
 }  // namespace

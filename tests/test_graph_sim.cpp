@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "check/graph_sim.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
-#include "sim/graph_sim.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
 

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -92,31 +93,34 @@ TEST(LintCorpus, EachLexicalRuleFiresExactlyWhereExpected) {
 }
 
 // The flow-aware and registry-pairing passes: each bad fixture plants one
-// contract violation and the finding must land on the planted line; the
-// matching good fixture differs only in honoring the contract.
+// contract violation per anchor and each finding must land on its planted
+// line; the matching good fixture differs only in honoring the contract.
 TEST(LintCorpus, EachContractPassFiresExactlyWhereExpected) {
   struct Case {
     const char* rule;
-    const char* anchor;  // expected "<file>:<line>" of the one finding
+    std::vector<std::string> anchors;  // "<file>:<line>" of each finding
   };
   const Case cases[] = {
-      {"lock-order-cycle", "src/sample.cpp:10"},
-      {"deadline-poll-coverage", "src/core/sample.cpp:15"},
-      {"checkpoint-section-pairing", "src/flow/sample.cpp:8"},
-      {"counter-registry", "src/support/metrics.cpp:8"},
-      {"protocol-schema", "src/serve/sample.cpp:7"},
-      {"unused-nolint", "src/sample.cpp:6"},
+      {"lock-order-cycle", {"src/sample.cpp:10"}},
+      {"deadline-poll-coverage",
+       {"src/core/sample.cpp:15", "src/check/exhaustive.cpp:14"}},
+      {"checkpoint-section-pairing", {"src/flow/sample.cpp:8"}},
+      {"counter-registry", {"src/support/metrics.cpp:8"}},
+      {"protocol-schema", {"src/serve/sample.cpp:7"}},
+      {"unused-nolint", {"src/sample.cpp:6"}},
   };
   for (const Case& c : cases) {
     const LintRun bad = run_lint("--root " +
                                  corpus(std::string(c.rule) + "/bad"));
     EXPECT_EQ(bad.code, 1) << c.rule << " bad fixture:\n" << bad.out;
-    EXPECT_NE(bad.out.find(std::string(c.anchor) + ": serelin-" + c.rule +
-                           ":"),
-              std::string::npos)
-        << c.rule << " did not fire at " << c.anchor << ":\n" << bad.out;
-    EXPECT_NE(bad.out.find("1 finding(s)"), std::string::npos)
-        << c.rule << " bad fixture must yield exactly one finding:\n"
+    for (const std::string& anchor : c.anchors)
+      EXPECT_NE(bad.out.find(anchor + ": serelin-" + c.rule + ":"),
+                std::string::npos)
+          << c.rule << " did not fire at " << anchor << ":\n" << bad.out;
+    const std::string count =
+        std::to_string(c.anchors.size()) + " finding(s)";
+    EXPECT_NE(bad.out.find(count), std::string::npos)
+        << c.rule << " bad fixture must yield exactly " << count << ":\n"
         << bad.out;
 
     const LintRun good = run_lint("--root " +

@@ -2,13 +2,13 @@
 // from the MinObsWin machinery with unit observability.
 #include <gtest/gtest.h>
 
-#include "core/min_area.hpp"
-#include "core/exhaustive.hpp"
+#include "check/exhaustive.hpp"
+#include "check/graph_sim.hpp"
 #include "core/initializer.hpp"
+#include "core/min_area.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
-#include "sim/graph_sim.hpp"
 #include "support/rng.hpp"
 
 namespace serelin {

@@ -7,8 +7,8 @@
 // instances — the empirical optimality check behind the paper's Theorem 2.
 #include <gtest/gtest.h>
 
-#include "core/closure_solver.hpp"
-#include "core/exhaustive.hpp"
+#include "check/closure_solver.hpp"
+#include "check/exhaustive.hpp"
 #include "core/initializer.hpp"
 #include "core/solver.hpp"
 #include "gen/random_circuit.hpp"

@@ -10,9 +10,9 @@
 #include <streambuf>
 #include <string>
 
+#include "check/closure_solver.hpp"
 #include "check/exact_observability.hpp"
 #include "check/wd_matrices.hpp"
-#include "core/closure_solver.hpp"
 #include "core/initializer.hpp"
 #include "core/min_period.hpp"
 #include "core/solver.hpp"
@@ -253,6 +253,21 @@ TEST(Deadline, ExpiredAndCancelled) {
   token.cancel();
   EXPECT_EQ(d.status(), StopReason::kCancelled);
   EXPECT_THROW(d.check("test"), CancelledError);
+}
+
+TEST(Deadline, HugeBudgetsSaturateInsteadOfExpiring) {
+  // Past ~9.2e9 s the clock's int64 nanoseconds overflow; such budgets
+  // must read as "never", not as already expired.
+  for (const double seconds : {1e10, 1e300}) {
+    const Deadline d = Deadline::after(seconds);
+    EXPECT_FALSE(d.expired()) << seconds;
+    EXPECT_GT(d.remaining_seconds(), 1e9) << seconds;
+    EXPECT_FALSE(Deadline().slice(seconds).expired()) << seconds;
+    EXPECT_FALSE(d.slice(seconds).expired()) << seconds;
+    EXPECT_FALSE(Deadline::after(100.0).slice(seconds).expired()) << seconds;
+  }
+  // A slice never outlives its parent, however long it asks to be.
+  EXPECT_TRUE(Deadline::after(0.0).slice(1e300).expired());
 }
 
 TEST(Deadline, SolverReturnsFeasiblePartial) {

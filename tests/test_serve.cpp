@@ -256,6 +256,47 @@ TEST(ServeServer, SubmitRejectsOutOfRangeAndMistypedFields) {
   EXPECT_EQ(stats.submitted, 1);
 }
 
+TEST(ServeServer, EveryOpRejectsUnknownAndMistypedFields) {
+  // Unchecked, "wait":"yes" read as false (not-ready), "timeout_s":"5" as
+  // the default, a negative timeout as an expired wait, and a stray field
+  // was ignored — cancel and shutdown even acted on such a request.
+  TestServer ts(/*workers=*/1);
+  UnixStream s = ts.connect();
+  const std::string id =
+      submit_ok(s, submit_line(tiny_bench(), /*test_delay_ms=*/600000));
+  ASSERT_FALSE(id.empty());
+  const auto with_job = [&](const char* op) {
+    JsonObject o;
+    o.set("op", op).set("job", id);
+    return o;
+  };
+  const std::vector<std::string> rejected = {
+      with_job("result").set("wait", "yes").str(),
+      with_job("result").set("timeout_s", "5").str(),
+      with_job("result").set("wait", true).set("timeout_s", -1.0).str(),
+      with_job("status").set("bogus", 1).str(),
+      with_job("cancel").set("bogus", 1).str(),
+      with_job("stream").set("bogus", 1).str(),
+      R"({"op":"stats","bogus":1})",
+      R"({"op":"ping","bogus":1})",
+      R"({"op":"shutdown","bogus":1})",
+  };
+  for (const std::string& line : rejected) {
+    const Request r = rpc(s, line);
+    EXPECT_EQ(r.get_bool("ok"), false) << line;
+    EXPECT_EQ(r.get_string("error"), "bad-request") << line;
+  }
+  EXPECT_EQ(ts.server->stats().rejected_bad_request,
+            static_cast<std::int64_t>(rejected.size()));
+  // None of them acted: the job is still live and the server still serves.
+  const std::string state = job_state(s, id);
+  EXPECT_TRUE(state == "queued" || state == "running") << state;
+  EXPECT_EQ(rpc(s, with_job("result").str()).get_string("error"),
+            "not-ready");
+  EXPECT_EQ(rpc(s, with_job("cancel").str()).get_bool("ok"), true);
+  EXPECT_EQ(await_result(s, id).get_string("state"), "cancelled");
+}
+
 TEST(ServeServer, SubmitRunsVerifiedAndReportsStatus) {
   TestServer ts;
   UnixStream s = ts.connect();

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <string>
 
-#include "core/closure_solver.hpp"
+#include "check/closure_solver.hpp"
+#include "check/graph_sim.hpp"
 #include "core/initializer.hpp"
 #include "core/solver.hpp"
 #include "gen/random_circuit.hpp"
 #include "helpers.hpp"
 #include "netlist/builder.hpp"
-#include "sim/graph_sim.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/strings.hpp"

@@ -109,6 +109,23 @@ TEST(CliRetime, EveryAlgorithmRunsThePipelineWithJournalAndCheckpoint) {
   }
 }
 
+TEST(CliRetime, HugeDeadlineNeverExpires) {
+  // 1e10 s overflows the steady clock's int64 nanoseconds; the budget must
+  // saturate to "never" rather than read as already expired.
+  const std::string stem = temp_path("cli-huge-deadline");
+  const std::string journal = stem + ".jsonl";
+  EXPECT_EQ(run(std::string(SERELIN_CLI_BIN) + " retime " +
+                SERELIN_EXAMPLES_DIR + "/rand40.bench " + stem +
+                ".out.bench --patterns 256 --frames 4 --deadline 1e10" +
+                " --journal " + journal),
+            0);
+  const JournalRecovery rec = read_journal(journal);
+  ASSERT_FALSE(rec.records.empty()) << journal;
+  const std::string& last = rec.records.back();
+  EXPECT_EQ(json_string_field(last, "event"), "result") << last;
+  EXPECT_EQ(json_string_field(last, "stage"), "minobswin") << last;
+}
+
 TEST(CliGenerate, BadCountsExit64AndWriteNothing) {
   const std::string out = temp_path("cli-generate.bench");
   for (const std::string counts :
